@@ -8,9 +8,9 @@ surprise-function plots.
 __version__ = "0.1.0"
 
 from .core import (FbstResult, ReferenceFunction, SurpriseFunction,
-                   TangentialRegion, bayesian_significance, evalue_grid,
-                   evalue_mc, fbst, fbst_pipeline, pvalue_evalue,
-                   standardized_evalue, surprise_fit, tangential_region)
+                   TangentialRegion, evalue_grid, evalue_mc, fbst,
+                   fbst_pipeline, pvalue_evalue, standardized_evalue,
+                   surprise_fit, tangential_region)
 from .density import (DensityEstimate, PosteriorSample, kde_eval, kde_fit,
                       silverman_bandwidth)
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
@@ -30,7 +30,7 @@ __all__ = [
     "PlotError", "PlotSpec", "PosteriorSample", "ReferenceFunction",
     "ReferenceFunctionError", "ResultDocument", "SamplerError",
     "SurpriseFunction", "TTestData", "TangentialRegion",
-    "analytic_evalue_flat", "bayesian_significance", "brute_force_evalue",
+    "analytic_evalue_flat", "brute_force_evalue",
     "chisq_cdf", "chisq_pdf", "chisq_quantile", "density_eval", "evalue_grid",
     "evalue_mc", "fbst", "fbst_pipeline", "format_result", "kde_eval",
     "kde_fit", "load_draws", "pvalue_evalue", "random_walk_metropolis",

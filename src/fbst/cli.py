@@ -8,8 +8,6 @@ diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,18 +18,13 @@ from .core import ReferenceFunction, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
                      PlotError, ReferenceFunctionError, SamplerError)
-from .io import DrawsFileSpec, ResultDocument, format_result, load_draws
+from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
+                 load_reference_table, write_result)
+from .oracle import SEV_FIXTURES, AnalyticPosterior, analytic_evalue_flat
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
 
 GRID_SIZE_ENV = "FBST_GRID_SIZE"
-
-_SEV_FIXTURES = (
-    (0.8305998, 3, 2, 0.0248695),
-    (0.9032063, 3, 2, 0.01189972),
-    (0.9859827, 3, 2, 0.001123303),
-    (0.9758885, 8, 7, 0.00002672151),
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +91,7 @@ def _parse_reference(text: str, parser: _Parser) -> ReferenceFunction:
     if text == "flat":
         return ReferenceFunction.flat()
     if text.startswith("table:"):
-        return _load_table(text[len("table:"):])
+        return load_reference_table(text[len("table:"):])
     family, _, params_text = text.partition(":")
     params = {}
     for item in filter(None, params_text.split(",")):
@@ -113,30 +106,6 @@ def _parse_reference(text: str, parser: _Parser) -> ReferenceFunction:
         return ReferenceFunction.from_family(DensityFamily(family, params))
     except DomainError as err:
         parser.error(f"bad reference descriptor {text!r}: {err}")
-
-def _load_table(path_text: str) -> ReferenceFunction:
-    path = Path(path_text)
-    if not path.is_file():
-        raise DrawsError(f"{path}: reference table not found")
-    with path.open(encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if rows and len(rows[0]) == 2:
-        try:
-            float(rows[0][0])
-        except ValueError:
-            rows = rows[1:]
-    grid, values = [], []
-    for lineno, row in enumerate(rows, 1):
-        if len(row) != 2:
-            raise DrawsError(f"{path}:{lineno}: expected two columns")
-        try:
-            grid.append(float(row[0]))
-            values.append(float(row[1]))
-        except ValueError:
-            raise DrawsError(f"{path}:{lineno}: non-numeric entry") from None
-    if len(grid) < 2:
-        raise DrawsError(f"{path}: reference table needs at least two rows")
-    return ReferenceFunction.from_table(grid, values, source=str(path))
 
 
 def _draws_spec(args) -> DrawsFileSpec:
@@ -175,12 +144,10 @@ def run_test(args, parser: _Parser) -> int:
     doc = ResultDocument.from_result(result, sample_size=sample.n,
                                      bandwidth=posterior.bandwidth,
                                      grid_size=grid_size)
-    rendered = format_result(doc, args.output_format)
     if args.output is None:
-        sys.stdout.write(rendered)
+        sys.stdout.write(format_result(doc, args.output_format))
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(rendered)
+        write_result(doc, args.output, args.output_format)
     return 0
 
 def run_plot(args, parser: _Parser) -> int:
@@ -207,7 +174,7 @@ def run_selfcheck() -> int:
         failures += not ok
         print(f"{name}: {'pass' if ok else 'FAIL'}")
 
-    for ev, k, h, expected in _SEV_FIXTURES:
+    for ev, k, h, expected in SEV_FIXTURES:
         _, sev = standardized_evalue(ev, k, h)
         ok = abs(sev - expected) <= 1e-3 * expected
         report(f"sev fixture (ev={ev:.7g}, k={k}, h={h}) -> {sev:.7g} "
@@ -222,7 +189,7 @@ def run_selfcheck() -> int:
     sample = PosteriorSample(draws=rng.standard_normal(200_000) + 1.0,
                              label="theta")
     result = fbst_pipeline(sample, 0.0, 3, 2)[0]
-    expected = math.erf(1.0 / math.sqrt(2.0))
+    expected = analytic_evalue_flat(AnalyticPosterior(mu=1.0, sigma=1.0), 0.0)
     ok = abs(result.e_value_against - expected) < 0.01
     report(f"oracle N(1,1) vs theta0=0 -> {result.e_value_against:.4f} "
            f"expected {expected:.4f}", ok)

@@ -58,8 +58,6 @@ class ReferenceFunction:
 
     @classmethod
     def from_family(cls, family: DensityFamily) -> "ReferenceFunction":
-        if family.family == "flat":
-            return cls.flat()
         pairs = ",".join(f"{k}={v:g}" for k, v in sorted(family.params.items()))
         return cls(kind="parametric", family=family,
                    descriptor=f"{family.family}:{pairs}")
@@ -160,10 +158,6 @@ class FbstResult:
             raise DimensionError(
                 f"null dimension {self.dim_null} must be below "
                 f"parameter dimension {self.dim_theta}")
-        expected, _ = standardized_evalue(self.e_value_against,
-                                          self.dim_theta, self.dim_null)
-        if abs(self.sev_against - expected) > 1e-10:
-            raise DomainError("sev_against inconsistent with e_value_against")
 
 
 def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
@@ -241,17 +235,6 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
         return 1.0, 0.0
     sev_against = chisq_cdf(chisq_quantile(ev_against, k), k - h)
     return sev_against, 1.0 - sev_against
-
-
-def bayesian_significance(m0, big_m0, k: int) -> float:
-    """F_k of the squared distance between null-constrained and global modes."""
-    a = np.atleast_1d(np.asarray(m0, dtype=float))
-    b = np.atleast_1d(np.asarray(big_m0, dtype=float))
-    if a.shape != b.shape:
-        raise DimensionError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    if k < 1:
-        raise DimensionError(f"parameter dimension must be positive, got {k}")
-    return chisq_cdf(float(np.sum((a - b) ** 2)), k)
 
 
 def _check_dims(k: int, h: int) -> None:

@@ -1,4 +1,5 @@
-"""Ingestion of posterior draws from files and serialization of results."""
+"""Ingestion of posterior draws and reference tables from files, and
+serialization of results."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import FbstResult
+from .core import FbstResult, ReferenceFunction
 from .density import PosteriorSample
 from .errors import DrawsError
 
@@ -66,43 +67,46 @@ def _load_plain(path: Path) -> tuple[list[float], str]:
         draws.append(_parse_number(text, f"{path}:{lineno}"))
     return draws, path.stem
 
+def _csv_rows(handle, delimiter: str = ","):
+    """Yield (physical line number, cells) for each nonblank row of a CSV file."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    for row in reader:
+        if row:
+            yield reader.line_num, row
+
 def _load_csv(path: Path, column: str | int | None, delimiter: str) \
         -> tuple[list[float], str]:
     with path.open(encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    if not rows:
-        raise DrawsError(f"{path}: file is empty")
-    header = rows[0]
-    if column is None:
-        if len(header) != 1:
-            raise DrawsError(
-                f"{path}: {len(header)} columns; select one with a column name")
-        index = 0
-    elif isinstance(column, int):
-        if not 0 <= column < len(header):
-            raise DrawsError(f"{path}: column index {column} out of range")
-        index = column
-    else:
-        if column not in header:
-            if all(_is_number(cell) for cell in header):
+        rows = _csv_rows(handle, delimiter)
+        lineno, header = next(rows, (0, None))
+        if header is None:
+            raise DrawsError(f"{path}: file is empty")
+        if column is None:
+            if len(header) != 1:
+                raise DrawsError(
+                    f"{path}: {len(header)} columns; select one with a column name")
+            index = 0
+        elif isinstance(column, int):
+            if not 0 <= column < len(header):
+                raise DrawsError(f"{path}: column index {column} out of range")
+            index = column
+        else:
+            if column not in header:
+                if all(_is_number(cell) for cell in header):
+                    raise DrawsError(f"{path}: named column needs a header row")
+                raise DrawsError(f"{path}: no column named {column!r} in header")
+            index = header.index(column)
+        label = header[index]
+        draws = []
+        if _is_number(label):  # headerless single-column files are still readable
+            if isinstance(column, str):
                 raise DrawsError(f"{path}: named column needs a header row")
-            raise DrawsError(f"{path}: no column named {column!r} in header")
-        index = header.index(column)
-    label = header[index]
-    try:  # headerless single-column files are still readable
-        float(label)
-    except ValueError:
-        body = rows[1:]
-    else:
-        if isinstance(column, str):
-            raise DrawsError(f"{path}: named column needs a header row")
-        body = rows
-        label = path.stem
-    draws = []
-    for lineno, row in enumerate(body, 2 if body is not rows else 1):
-        if index >= len(row):
-            raise DrawsError(f"{path}:{lineno}: row has no column {index}")
-        draws.append(_parse_number(row[index], f"{path}:{lineno}"))
+            draws.append(_parse_number(label, f"{path}:{lineno}"))
+            label = path.stem
+        for lineno, row in rows:
+            if index >= len(row):
+                raise DrawsError(f"{path}:{lineno}: row has no column {index}")
+            draws.append(_parse_number(row[index], f"{path}:{lineno}"))
     return draws, label
 
 def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
@@ -147,24 +151,29 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
         raise DrawsError(f"{path}: no draws found")
     return PosteriorSample(draws=np.asarray(draws), label=label)
 
+def load_reference_table(path_text: str) -> ReferenceFunction:
+    """Read a tabulated reference: `theta,value` rows, optional header row."""
+    path = Path(path_text)
+    if not path.is_file():
+        raise DrawsError(f"{path}: reference table not found")
+    grid, values = [], []
+    with path.open(encoding="utf-8", newline="") as handle:
+        for i, (lineno, row) in enumerate(_csv_rows(handle)):
+            if i == 0 and len(row) == 2 and not _is_number(row[0]):
+                continue  # header row
+            if len(row) != 2:
+                raise DrawsError(f"{path}:{lineno}: expected two columns")
+            grid.append(_parse_number(row[0], f"{path}:{lineno}"))
+            values.append(_parse_number(row[1], f"{path}:{lineno}"))
+    if len(grid) < 2:
+        raise DrawsError(f"{path}: reference table needs at least two rows")
+    return ReferenceFunction.from_table(grid, values, source=str(path))
+
 
 @dataclass(frozen=True)
-class ResultDocument:
+class ResultDocument(FbstResult):
     """An FbstResult plus run provenance, ready for serialization."""
 
-    e_value_against: float
-    e_value_in_favor: float
-    p_value: float
-    sev_against: float
-    sev: float
-    dim_theta: int
-    dim_null: int
-    null_value: float
-    reference_descriptor: str
-    estimator: str
-    mode_location: float
-    mode_density: float
-    relative_null_ratio: float
     tool_version: str
     sample_size: int
     bandwidth: float

@@ -1,5 +1,6 @@
-"""Independent ground truth for testing: closed-form e-values, a brute-force
-integrator, and a small Metropolis sampler for the two-group t-test model.
+"""Independent ground truth for testing: published standardized e-values,
+closed-form e-values, a brute-force integrator, and a small Metropolis
+sampler for the two-group t-test model.
 
 Shipped with the library so installations can self-verify.  The brute-force
 integrator deliberately shares no quadrature code with the core module.
@@ -14,6 +15,15 @@ import numpy as np
 
 from .density import PosteriorSample
 from .errors import DomainError, SamplerError
+
+# (ev_against, k, h, sev): the four summary blocks printed by the reference
+# implementation
+SEV_FIXTURES = (
+    (0.8305998, 3, 2, 0.0248695),
+    (0.9032063, 3, 2, 0.01189972),
+    (0.9859827, 3, 2, 0.001123303),
+    (0.9758885, 8, 7, 0.00002672151),
+)
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = (0.2, 0.5)

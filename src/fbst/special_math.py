@@ -123,7 +123,6 @@ def chisq_quantile(p: float, df: float) -> float:
 
 
 _FAMILY_PARAMS = {
-    "flat": (),
     "normal": ("mean", "sd"),
     "cauchy": ("location", "scale"),
     "student_t": ("location", "scale", "df"),
@@ -154,10 +153,6 @@ class DensityFamily:
                 raise DomainError(f"parameter {name!r} must be positive, got {value}")
 
     @classmethod
-    def flat(cls) -> "DensityFamily":
-        return cls("flat")
-
-    @classmethod
     def normal(cls, mean: float, sd: float) -> "DensityFamily":
         return cls("normal", {"mean": float(mean), "sd": float(sd)})
 
@@ -172,11 +167,9 @@ class DensityFamily:
 
 
 def density_eval(fam: DensityFamily, theta):
-    """Density of the family at theta (scalar or array); flat is exactly 1."""
+    """Density of the family at theta (scalar or array)."""
     theta = np.asarray(theta, dtype=float)
-    if fam.family == "flat":
-        out = np.ones_like(theta)
-    elif fam.family == "normal":
+    if fam.family == "normal":
         mean, sd = fam.params["mean"], fam.params["sd"]
         z = (theta - mean) / sd
         out = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))

@@ -19,17 +19,11 @@ from fbst import (DensityEstimate, DensityFamily, PosteriorSample,
                   chisq_quantile, evalue_grid, evalue_mc, fbst_pipeline,
                   kde_fit, render_fbst_plot, standardized_evalue,
                   surprise_fit, tangential_region, ttest_metropolis, PlotSpec)
+from fbst.oracle import SEV_FIXTURES
 
 DATA = Path(__file__).parent / "data"
 PRIOR_SCALE = math.sqrt(2.0) / 2.0
 SVG = "{http://www.w3.org/2000/svg}"
-
-SEV_FIXTURES = (
-    (0.8305998, 3, 2, 0.0248695),
-    (0.9032063, 3, 2, 0.01189972),
-    (0.9859827, 3, 2, 0.001123303),
-    (0.9758885, 8, 7, 0.00002672151),
-)
 
 
 def _report(label, ok, detail):

@@ -161,6 +161,14 @@ class TestExitCodes:
         table.write_text("-0.1,1.0\n0.1,1.0\n", encoding="utf-8")
         assert main(["test", *BASE, "--ref", f"table:{table}"]) == 3
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_table_entry_is_2(self, capsys, tmp_path, bad):
+        table = tmp_path / "ref.csv"
+        table.write_text(f"theta,density\n-30,1.0\n{bad},1.0\n30,1.0\n",
+                         encoding="utf-8")
+        assert main(["test", *BASE, "--ref", f"table:{table}"]) == 2
+        assert f"{table}:3: non-finite value '{bad}'" in capsys.readouterr().err
+
     def test_bad_dimensions_are_3(self, capsys):
         assert main(["test", "--draws", DRAWS, "--null", "0",
                      "--dim-theta", "2", "--dim-null", "2"]) == 3

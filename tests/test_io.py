@@ -7,6 +7,7 @@ import pytest
 from fbst import (DrawsError, DrawsFileSpec, PosteriorSample, ResultDocument,
                   __version__, fbst_pipeline, format_result, load_draws,
                   write_result)
+from fbst.io import load_reference_table
 
 REFERENCE_SUMMARY = (
     "Full Bayesian Significance Test for testing a sharp hypothesis "
@@ -173,6 +174,13 @@ class TestLoadCsv:
         with pytest.raises(DrawsError, match=r"d\.csv:2: cannot parse 'x'"):
             load_draws(DrawsFileSpec(path=path, format="csv"))
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        rows = _rows()
+        rows[10] = "x"
+        path = _write(tmp_path, "d.csv", "delta\n\n\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DrawsError, match=r"d\.csv:14: cannot parse 'x'"):
+            load_draws(DrawsFileSpec(path=path, format="csv"))
+
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "d.csv", "")
         with pytest.raises(DrawsError, match="file is empty"):
@@ -226,6 +234,20 @@ class TestLoadJson:
         path = _write(tmp_path, "d.json", "[0.5,\n0.6,\n")
         with pytest.raises(DrawsError, match=r"d\.json:3:"):
             load_draws(DrawsFileSpec(path=path, format="json"))
+
+
+class TestLoadReferenceTable:
+    def test_header_row_skipped(self, tmp_path):
+        path = _write(tmp_path, "ref.csv", "theta,density\n\n-1,0.5\n1,0.25\n")
+        ref = load_reference_table(path)
+        assert ref.grid.tolist() == [-1.0, 1.0]
+        assert ref.values.tolist() == [0.5, 0.25]
+        assert ref.descriptor == f"table:{path}"
+
+    def test_short_row_reported_with_physical_line(self, tmp_path):
+        path = _write(tmp_path, "ref.csv", "theta,density\n\n-1,0.5\n1\n")
+        with pytest.raises(DrawsError, match=r"ref\.csv:4: expected two columns"):
+            load_reference_table(path)
 
 
 class TestResultDocument:
@@ -320,7 +342,8 @@ class TestFormatResult:
         assert all(line == line.rstrip() for line in text.splitlines())
 
     def test_seven_significant_digits(self):
-        doc = _doc(e_value_against=0.123456789, sev=1.23456789e-5,
+        doc = _doc(e_value_against=0.123456789,
+                   e_value_in_favor=1.0 - 0.123456789, sev=1.23456789e-5,
                    p_value=0.999999999)
         text = format_result(doc, "text")
         assert "Bayesian e-value against H_0: 0.1234568\n" in text

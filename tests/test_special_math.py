@@ -131,9 +131,6 @@ class TestChisqPdf:
 
 
 class TestDensityFamily:
-    def test_flat_is_one(self):
-        assert density_eval(DensityFamily.flat(), 7.3) == 1.0
-
     def test_standard_cauchy_mode(self):
         assert density_eval(DensityFamily.cauchy(0.0, 1.0), 0.0) \
             == pytest.approx(1.0 / math.pi, abs=1e-15)
