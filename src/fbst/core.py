@@ -2,7 +2,9 @@
 
 Pipeline for one test: kde_fit -> surprise_fit -> tangential_region ->
 evalue_grid or evalue_mc -> pvalue_evalue -> standardized_evalue.  The
-`fbst` function orchestrates the whole chain.
+`fbst` function orchestrates the whole chain.  `kde_fit` is memoized per
+sample: a PosteriorSample keeps its latest fit, so tests of many nulls and
+references on one sample fit the KDE once.
 """
 
 from __future__ import annotations

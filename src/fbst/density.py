@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,23 @@ def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PosteriorSample:
-    """A labeled vector of scalar posterior draws for one parameter."""
+    """A labeled vector of scalar posterior draws for one parameter.
+
+    The sample keeps a read-only copy of its draws and its latest density
+    fit, so repeated tests on it with the same bandwidth and grid size fit
+    once (see `kde_fit`).
+    """
 
     draws: np.ndarray
     label: str
+    # [((bandwidth, grid_size), DensityEstimate)] of the latest fit, or [None].
+    # One tuple, replaced whole, so a reader never pairs a key with another
+    # fit; the copy of the draws in __post_init__ keeps it from going stale.
+    _latest_fit: list = field(default_factory=lambda: [None], init=False,
+                              repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.draws, dtype=float).ravel()
+        arr = np.array(self.draws, dtype=float).ravel()
         if arr.size < MIN_SAMPLE_SIZE:
             raise DrawsError(
                 f"need at least {MIN_SAMPLE_SIZE} posterior draws, got {arr.size}")
@@ -111,7 +121,17 @@ def silverman_bandwidth(sample) -> float:
 
 def kde_fit(sample, bandwidth: float | None = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> DensityEstimate:
-    """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths."""
+    """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths.
+
+    A PosteriorSample keeps its latest fit: a repeat call with the same
+    bandwidth and grid_size returns that same estimate.  Raw array-likes are
+    fitted on every call, since their caller may change them in between.
+    """
+    key = (bandwidth, grid_size)
+    slot = sample._latest_fit if isinstance(sample, PosteriorSample) else [None]
+    latest = slot[0]
+    if latest is not None and latest[0] == key:
+        return latest[1]
     draws = _as_draws(sample)
     if grid_size < MIN_GRID_SIZE:
         raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
@@ -154,9 +174,11 @@ def kde_fit(sample, bandwidth: float | None = None,
         kernel_sums += partial
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
     peak = int(np.argmax(values))
-    return DensityEstimate(grid=grid, values=values, bandwidth=h,
-                           mode_location=float(grid[peak]),
-                           mode_density=float(values[peak]))
+    est = DensityEstimate(grid=grid, values=values, bandwidth=h,
+                          mode_location=float(grid[peak]),
+                          mode_density=float(values[peak]))
+    slot[0] = (key, est)
+    return est
 
 
 def kde_eval(est: DensityEstimate, theta):

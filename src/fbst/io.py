@@ -11,8 +11,6 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .core import FbstResult, ReferenceFunction
 from .density import PosteriorSample
@@ -60,11 +58,15 @@ def _parse_number(text: str, where: str) -> float:
 
 def _load_plain(path: Path) -> tuple[list[float], str]:
     draws = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        text = line.strip()
-        if not text:
-            continue
-        draws.append(_parse_number(text, f"{path}:{lineno}"))
+    with path.open(encoding="utf-8") as handle:
+        # Splitting each physical line (newlines already translated) yields
+        # the lines, and line numbers, of splitting the whole text at once.
+        lines = (line for physical in handle for line in physical.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            text = line.strip()
+            if not text:
+                continue
+            draws.append(_parse_number(text, f"{path}:{lineno}"))
     return draws, path.stem
 
 def _csv_rows(handle, delimiter: str = ","):
@@ -149,7 +151,7 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
         draws, label = _load_json(path, spec.column)
     if not draws:
         raise DrawsError(f"{path}: no draws found")
-    return PosteriorSample(draws=np.asarray(draws), label=label)
+    return PosteriorSample(draws=draws, label=label)
 
 def load_reference_table(path_text: str) -> ReferenceFunction:
     """Read a tabulated reference: `theta,value` rows, optional header row."""

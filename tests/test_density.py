@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fbst import DensityEstimate, DomainError, DrawsError, PosteriorSample, \
-    kde_eval, kde_fit, silverman_bandwidth
+    fbst, kde_eval, kde_fit, silverman_bandwidth
 from fbst.density import trapezoid_mass
 
 
@@ -32,6 +33,18 @@ class TestPosteriorSample:
         sample = PosteriorSample(draws=np.arange(40.0), label="x")
         with pytest.raises(ValueError):
             sample.draws[0] = 99.0
+
+    def test_owns_its_draws(self):
+        source = np.random.default_rng(41).normal(0.3, 1.0, 2_000)
+        kept = source.copy()
+        sample = PosteriorSample(draws=source, label="x")
+        before = [fbst(sample, 0.0, 1, 0, estimator=e)
+                  for e in ("grid", "monte_carlo")]
+        source *= 3.0
+        source += 1.0
+        assert np.array_equal(sample.draws, kept)
+        assert [fbst(sample, 0.0, 1, 0, estimator=e)
+                for e in ("grid", "monte_carlo")] == before
 
 
 class TestSilvermanBandwidth:
@@ -152,6 +165,57 @@ class TestKdeFit:
         assert np.array_equal(est.grid, grid)
         assert np.array_equal(est.values,
                               sums / (n * h * math.sqrt(2.0 * math.pi)))
+
+
+class TestFitMemo:
+    @pytest.fixture()
+    def sample(self):
+        rng = np.random.default_rng(29)
+        return PosteriorSample(draws=rng.standard_normal(3_000), label="theta")
+
+    def test_repeat_call_returns_same_fit(self, sample):
+        assert kde_fit(sample) is kde_fit(sample)
+
+    def test_slot_holds_only_latest_fit(self, sample):
+        first = kde_fit(sample)
+        for kwargs in ({"grid_size": 256}, {"bandwidth": 0.2}):
+            newer = kde_fit(sample, **kwargs)
+            assert newer is not first
+            key, held = sample._latest_fit[0]
+            assert held is newer
+            assert key == (kwargs.get("bandwidth"), kwargs.get("grid_size", 1024))
+            assert kde_fit(sample, **kwargs) is newer
+        again = kde_fit(sample)
+        assert again is not first
+        assert np.array_equal(again.values, first.values)
+
+    def test_same_fit_as_raw_draws(self, sample):
+        est, raw = kde_fit(sample), kde_fit(np.array(sample.draws))
+        assert np.array_equal(est.grid, raw.grid)
+        assert np.array_equal(est.values, raw.values)
+        assert est.bandwidth == raw.bandwidth
+
+    def test_raw_draws_are_not_memoized(self, sample):
+        draws = np.array(sample.draws)
+        assert kde_fit(draws) is not kde_fit(draws)
+
+    def test_failed_fit_stores_nothing(self):
+        draws = np.append(np.random.default_rng(50).standard_normal(50_000), 1e4)
+        sample = PosteriorSample(draws=draws, label="stray")
+        for _ in range(2):
+            with pytest.raises(DomainError, match="density integrates to"):
+                kde_fit(sample)
+            assert sample._latest_fit == [None]
+
+    def test_repr_and_replace(self, sample):
+        est = kde_fit(sample)
+        assert repr(sample) == f"PosteriorSample(draws={sample.draws!r}, label='theta')"
+        renamed = dataclasses.replace(sample, label="delta")
+        assert renamed.label == "delta"
+        assert np.array_equal(renamed.draws, sample.draws)
+        assert renamed._latest_fit == [None]
+        assert kde_fit(renamed) is not est
+        assert kde_fit(sample) is est
 
 
 class TestKdeEval:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from fbst import (DrawsError, DrawsFileSpec, PosteriorSample, ResultDocument,
                   __version__, fbst_pipeline, format_result, load_draws,
                   write_result)
 from fbst.io import load_reference_table
+
+DATA = Path(__file__).parent / "data"
 
 REFERENCE_SUMMARY = (
     "Full Bayesian Significance Test for testing a sharp hypothesis "
@@ -98,8 +102,31 @@ class TestLoadPlain:
         with pytest.raises(DrawsError, match="at least 30"):
             load_draws(DrawsFileSpec(path=path, format="plain"))
 
+    @pytest.mark.parametrize("join", [
+        "\r\n".join,
+        "\r".join,
+        lambda rows: rows[0] + "\f" + "\n".join(rows[1:]),
+    ], ids=["crlf", "cr", "form_feed"])
+    def test_line_breaks_as_splitlines_counts_them(self, tmp_path, join):
+        path = tmp_path / "d.txt"
+        rows = _rows()
+        path.write_bytes(join(rows).encode("utf-8"))
+        sample = load_draws(DrawsFileSpec(path=str(path), format="plain"))
+        assert sample.draws.tolist() == [float(row) for row in rows]
+        rows[20] = "oops"
+        path.write_bytes(join(rows).encode("utf-8"))
+        with pytest.raises(DrawsError, match=r"d\.txt:21: cannot parse 'oops'"):
+            load_draws(DrawsFileSpec(path=str(path), format="plain"))
+
 
 class TestLoadCsv:
+    def test_fixture_draws_are_bit_identical(self):
+        # SHA-256 of the float64 draws as read before draws were handed to
+        # PosteriorSample as a list.
+        sample = load_draws(DrawsFileSpec(path=str(DATA / "draws.csv"), format="csv"))
+        assert hashlib.sha256(sample.draws.tobytes()).hexdigest() == \
+            "fe517cb6938febf833965249bf803d96d3f0f34878d51b1d0c84221caa268dcb"
+
     def test_single_column_with_header(self, tmp_path):
         path = _write(tmp_path, "d.csv", "delta\n" + "\n".join(_rows()) + "\n")
         sample = load_draws(DrawsFileSpec(path=path, format="csv"))
