@@ -13,8 +13,8 @@ MIN_SAMPLE_SIZE = 30
 MIN_GRID_SIZE = 128
 DEFAULT_GRID_SIZE = 1024
 
-_CHUNK = 8192
 _BLOCK_TERMS = 1 << 16  # kernel terms per block: 0.5 MB of doubles
+_RADIUS = 9.0  # scaled distance past which every term is capped (9^2 > 80)
 
 
 def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
@@ -22,13 +22,13 @@ def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorSample:
     """A labeled vector of scalar posterior draws for one parameter.
 
     The sample keeps a read-only copy of its draws and its latest density
     fit, so repeated tests on it with the same bandwidth and grid size fit
-    once (see `kde_fit`).
+    once (see `kde_fit`).  Samples compare and hash by identity.
     """
 
     draws: np.ndarray
@@ -142,36 +142,30 @@ def kde_fit(sample, bandwidth: float | None = None,
         if not h > 0:
             raise DomainError(f"bandwidth must be positive, got {bandwidth}")
     grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h, int(grid_size))
-    kernel_sums = np.zeros(grid.size)
     scaled_grid = grid / h
     scaled_draws = draws / h
-    # Each _CHUNK of draws is summed row by row in draw order, and the chunk
-    # sums are then added into kernel_sums in turn; golden_plot.svg's
-    # data-surprise-max (the repr of the KDE peak) pins that order of
-    # additions.  The kernel terms are made one cache-sized block of rows at
-    # a time, in a buffer whose row 0 carries the chunk's partial sum, so
-    # reducing rows 0..b continues the chunk's row-by-row sum unchanged.
-    # Squared distances are capped at 80 (kernel weight 4.3e-18, far below
-    # the accumulated sum's own rounding noise) so np.exp stays on its fast
-    # path.
-    block = max(1, _BLOCK_TERMS // grid.size)
-    buf = np.empty((min(block, draws.size) + 1, grid.size))
-    partial = np.empty(grid.size)
-    for start in range(0, draws.size, _CHUNK):
-        stop = min(start + _CHUNK, draws.size)
-        top = 1  # row 0 holds no partial sum yet
-        for lo in range(start, stop, block):
-            b = min(block, stop - lo)
-            z = np.subtract(scaled_grid[None, :], scaled_draws[lo:lo + b, None],
-                            out=buf[1:b + 1])
+    scaled_draws.sort()
+    # Past _RADIUS scaled units every term exp(-0.5 * min(z^2, 80)) is capped
+    # at exp(-40), so a node sums the sorted draws in its window and adds the
+    # capped rest as one product: the same function as summing all n terms.
+    # Blocks of nodes one bandwidth wide sum their terms pairwise by piece.
+    nodes = int(min(max(1.0, h / (grid[1] - grid[0])), _BLOCK_TERMS))
+    width = _BLOCK_TERMS // nodes
+    buf = np.empty(_BLOCK_TERMS)
+    kernel_sums = np.empty(grid.size)
+    for j in range(0, grid.size, nodes):
+        block = scaled_grid[j:j + nodes]
+        lo, hi = np.searchsorted(scaled_draws, (block[0] - _RADIUS, block[-1] + _RADIUS))
+        kernel_sums[j:j + nodes] = (draws.size - (hi - lo)) * np.exp(-40.0)
+        for start in range(lo, hi, width):
+            x = scaled_draws[start:min(start + width, hi)]
+            z = buf[:block.size * x.size].reshape(block.size, x.size)
+            np.subtract(block[:, None], x, out=z)
             np.multiply(z, z, out=z)
             np.minimum(z, 80.0, out=z)
             z *= -0.5
             np.exp(z, out=z)
-            np.add.reduce(buf[top:b + 1], axis=0, out=partial)
-            buf[0] = partial
-            top = 0
-        kernel_sums += partial
+            kernel_sums[j:j + nodes] += z.sum(axis=1)
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
     peak = int(np.argmax(values))
     est = DensityEstimate(grid=grid, values=values, bandwidth=h,

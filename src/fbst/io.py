@@ -8,8 +8,11 @@ import datetime
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .core import FbstResult, ReferenceFunction
@@ -69,46 +72,66 @@ def _load_plain(path: Path) -> tuple[list[float], str]:
             draws.append(_parse_number(text, f"{path}:{lineno}"))
     return draws, path.stem
 
-def _csv_rows(handle, delimiter: str = ","):
+def _csv_rows(path: Path, delimiter: str = ","):
     """Yield (physical line number, cells) for each nonblank row of a CSV file."""
-    reader = csv.reader(handle, delimiter=delimiter)
-    for row in reader:
-        if row:
-            yield reader.line_num, row
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except UnicodeDecodeError as err:
+            raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
+
+def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
+    """The column after `skiprows` physical lines in one vectorised pass, or
+    None where the streaming reader might differ: a quote character, a cell
+    that loadtxt rejects and float() takes (1_000), a non-finite value."""
+    try:
+        with path.open("rb") as handle, warnings.catch_warnings(record=True):
+            if any(b'"' in block for block in iter(lambda: handle.read(1 << 20), b"")):
+                return None
+            values = np.loadtxt(path, delimiter=delimiter, usecols=index, ndmin=1,
+                                skiprows=skiprows, comments=None, encoding="utf-8")
+    except (TypeError, ValueError, UserWarning):
+        return None
+    return values if np.isfinite(values).all() else None
 
 def _load_csv(path: Path, column: str | int | None, delimiter: str) \
-        -> tuple[list[float], str]:
-    with path.open(encoding="utf-8", newline="") as handle:
-        rows = _csv_rows(handle, delimiter)
-        lineno, header = next(rows, (0, None))
-        if header is None:
-            raise DrawsError(f"{path}: file is empty")
-        if column is None:
-            if len(header) != 1:
-                raise DrawsError(
-                    f"{path}: {len(header)} columns; select one with a column name")
-            index = 0
-        elif isinstance(column, int):
-            if not 0 <= column < len(header):
-                raise DrawsError(f"{path}: column index {column} out of range")
-            index = column
-        else:
-            if column not in header:
-                if all(_is_number(cell) for cell in header):
-                    raise DrawsError(f"{path}: named column needs a header row")
-                raise DrawsError(f"{path}: no column named {column!r} in header")
-            index = header.index(column)
-        label = header[index]
-        draws = []
-        if _is_number(label):  # headerless single-column files are still readable
-            if isinstance(column, str):
+        -> tuple[list[float] | np.ndarray, str]:
+    rows = _csv_rows(path, delimiter)
+    lineno, header = next(rows, (0, None))
+    if header is None:
+        raise DrawsError(f"{path}: file is empty")
+    if column is None:
+        if len(header) != 1:
+            raise DrawsError(
+                f"{path}: {len(header)} columns; select one with a column name")
+        index = 0
+    elif isinstance(column, int):
+        if not 0 <= column < len(header):
+            raise DrawsError(f"{path}: column index {column} out of range")
+        index = column
+    else:
+        if column not in header:
+            if all(_is_number(cell) for cell in header):
                 raise DrawsError(f"{path}: named column needs a header row")
-            draws.append(_parse_number(label, f"{path}:{lineno}"))
-            label = path.stem
-        for lineno, row in rows:
-            if index >= len(row):
-                raise DrawsError(f"{path}:{lineno}: row has no column {index}")
-            draws.append(_parse_number(row[index], f"{path}:{lineno}"))
+            raise DrawsError(f"{path}: no column named {column!r} in header")
+        index = header.index(column)
+    label = header[index]
+    draws = []
+    if _is_number(label):  # headerless single-column files are still readable
+        if isinstance(column, str):
+            raise DrawsError(f"{path}: named column needs a header row")
+        draws.append(_parse_number(label, f"{path}:{lineno}"))
+        label = path.stem
+    values = _loadtxt_column(path, delimiter, index, skiprows=lineno - len(draws))
+    if values is not None:
+        return values, label
+    for lineno, row in rows:
+        if index >= len(row):
+            raise DrawsError(f"{path}:{lineno}: row has no column {index}")
+        draws.append(_parse_number(row[index], f"{path}:{lineno}"))
     return draws, label
 
 def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
@@ -143,13 +166,16 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
     path = Path(spec.path)
     if not path.is_file():
         raise DrawsError(f"{path}: file not found")
-    if spec.format == "plain":
-        draws, label = _load_plain(path)
-    elif spec.format == "csv":
-        draws, label = _load_csv(path, spec.column, spec.delimiter)
-    else:
-        draws, label = _load_json(path, spec.column)
-    if not draws:
+    try:
+        if spec.format == "plain":
+            draws, label = _load_plain(path)
+        elif spec.format == "csv":
+            draws, label = _load_csv(path, spec.column, spec.delimiter)
+        else:
+            draws, label = _load_json(path, spec.column)
+    except UnicodeDecodeError as err:
+        raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
+    if len(draws) == 0:
         raise DrawsError(f"{path}: no draws found")
     return PosteriorSample(draws=draws, label=label)
 
@@ -159,14 +185,13 @@ def load_reference_table(path_text: str) -> ReferenceFunction:
     if not path.is_file():
         raise DrawsError(f"{path}: reference table not found")
     grid, values = [], []
-    with path.open(encoding="utf-8", newline="") as handle:
-        for i, (lineno, row) in enumerate(_csv_rows(handle)):
-            if i == 0 and len(row) == 2 and not _is_number(row[0]):
-                continue  # header row
-            if len(row) != 2:
-                raise DrawsError(f"{path}:{lineno}: expected two columns")
-            grid.append(_parse_number(row[0], f"{path}:{lineno}"))
-            values.append(_parse_number(row[1], f"{path}:{lineno}"))
+    for i, (lineno, row) in enumerate(_csv_rows(path)):
+        if i == 0 and len(row) == 2 and not _is_number(row[0]):
+            continue  # header row
+        if len(row) != 2:
+            raise DrawsError(f"{path}:{lineno}: expected two columns")
+        grid.append(_parse_number(row[0], f"{path}:{lineno}"))
+        values.append(_parse_number(row[1], f"{path}:{lineno}"))
     if len(grid) < 2:
         raise DrawsError(f"{path}: reference table needs at least two rows")
     return ReferenceFunction.from_table(grid, values, source=str(path))

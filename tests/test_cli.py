@@ -169,6 +169,20 @@ class TestExitCodes:
         assert main(["test", *BASE, "--ref", f"table:{table}"]) == 2
         assert f"{table}:3: non-finite value '{bad}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,body", [
+        ("draws.txt", b"\xff\n" + b"0.5\n" * 40),
+        ("draws.csv", b"delta\n" + b"0.5\n" * 40_000 + b"0.\xff\n"),
+        ("draws.json", b'{"delta": [' + b"0.5, " * 40 + b'"\xff"]}'),
+        ("table.csv", b"theta,density\n-30,1.0\n0,\xff\n30,1.0\n"),
+    ], ids=["plain", "csv", "json", "table"])
+    def test_draws_not_utf8_is_2(self, capsys, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        argv = [*BASE, "--ref", f"table:{path}"] if name == "table.csv" else \
+            ["--draws", str(path), *BASE[2:]]
+        assert main(["test", *argv]) == 2
+        assert f"fbst: {path}: not valid UTF-8" in capsys.readouterr().err
+
     def test_bad_dimensions_are_3(self, capsys):
         assert main(["test", "--draws", DRAWS, "--null", "0",
                      "--dim-theta", "2", "--dim-null", "2"]) == 3

@@ -47,6 +47,16 @@ class TestPosteriorSample:
                 for e in ("grid", "monte_carlo")] == before
 
 
+    def test_compares_and_hashes_by_identity(self):
+        draws = np.arange(40.0)
+        a = PosteriorSample(draws=draws, label="x")
+        b = PosteriorSample(draws=draws, label="x")
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
 class TestSilvermanBandwidth:
     def test_two_point_formula(self):
         sd = np.std([0.0, 1.0], ddof=1)
@@ -145,26 +155,26 @@ class TestKdeFit:
         est = kde_fit(np.arange(50.0), grid_size=256)
         assert est.grid.size == 256
 
-    @pytest.mark.parametrize("n,grid_size", [
-        (50, 1024),              # fewer draws than one block
-        (2 * 8192 + 37, 1024),   # partial last block and partial last chunk
-        (300, 70_000),           # grid so wide that a block is one row
-    ])
-    def test_same_additions_as_dense_loop(self, n, grid_size):
-        # The reference order of additions: each 8192-draw chunk is summed
-        # row by row in draw order, then the chunk sums are added in turn.
-        draws = np.random.default_rng(n).gamma(2.0, 1.5, n)
-        h = silverman_bandwidth(draws)
-        grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h,
-                           grid_size)
-        sums = np.zeros(grid_size)
-        for start in range(0, n, 8192):
-            z = grid[None, :] / h - draws[start:start + 8192, None] / h
-            sums += np.exp(np.minimum(z * z, 80.0) * -0.5).sum(axis=0)
+    @pytest.mark.parametrize("draws,grid_size,step", [
+        (np.random.default_rng(50).gamma(2.0, 1.5, 50), 1024, 1),
+        (np.random.default_rng(16421).gamma(2.0, 1.5, 16421), 1024, 1),
+        (np.random.default_rng(300).gamma(2.0, 1.5, 300), 70_000, 97),
+        (np.random.default_rng(3).standard_t(3, 20_000), 1024, 1),
+    ], ids=["gamma-50", "gamma-16421", "gamma-300-wide-grid", "student_t3-20000"])
+    def test_matches_exact_sum_of_capped_terms(self, draws, grid_size, step):
+        # Oracle: the correctly rounded sum of all n kernel terms, each with
+        # the fit's own arithmetic (squared scaled distance capped at 80).
         est = kde_fit(draws, grid_size=grid_size)
-        assert np.array_equal(est.grid, grid)
-        assert np.array_equal(est.values,
-                              sums / (n * h * math.sqrt(2.0 * math.pi)))
+        h = silverman_bandwidth(draws)
+        assert np.array_equal(est.grid, np.linspace(
+            draws.min() - 3.0 * h, draws.max() + 3.0 * h, grid_size))
+        norm = draws.size * h * math.sqrt(2.0 * math.pi)
+        worst = 0.0
+        for node in range(0, grid_size, step):
+            z = est.grid[node] / h - draws / h
+            exact = math.fsum(np.exp(np.minimum(z * z, 80.0) * -0.5)) / norm
+            worst = max(worst, abs(est.values[node] - exact) / exact)
+        assert worst <= 1e-14
 
 
 class TestFitMemo:

@@ -9,6 +9,7 @@ import pytest
 from fbst import (DrawsError, DrawsFileSpec, PosteriorSample, ResultDocument,
                   __version__, fbst_pipeline, format_result, load_draws,
                   write_result)
+import fbst.io
 from fbst.io import load_reference_table
 
 DATA = Path(__file__).parent / "data"
@@ -212,6 +213,101 @@ class TestLoadCsv:
         path = _write(tmp_path, "d.csv", "")
         with pytest.raises(DrawsError, match="file is empty"):
             load_draws(DrawsFileSpec(path=path, format="csv"))
+
+
+def _csv_text(rows=None, header="step,delta", sep=",", end="\n"):
+    """A header and 32 rows of `step<sep>value`, values printed with repr."""
+    values = np.random.default_rng(32).normal(0.4, 1.3, 32)
+    lines = rows or [f"{i}{sep}{float(v)!r}" for i, v in enumerate(values)]
+    return end.join(([header] if header else []) + lines) + end
+
+
+def _with_row(index, row, **kwargs):
+    lines = _csv_text(header=None).splitlines()
+    lines[index] = row
+    return _csv_text(rows=lines, **kwargs)
+
+
+def _outcome(spec):
+    try:
+        sample = load_draws(spec)
+    except DrawsError as err:
+        return str(err)
+    return sample.label, hashlib.sha256(sample.draws.tobytes()).hexdigest()
+
+
+def _read_both_ways(monkeypatch, spec):
+    """Whether load_draws took the one-pass column parse, its outcome (label
+    and draws digest, or error text), and the streaming reader's outcome."""
+    parsed = []
+    one_pass = fbst.io._loadtxt_column
+
+    def spy(*args, **kwargs):
+        parsed.append(one_pass(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(fbst.io, "_loadtxt_column", spy)
+    outcome = _outcome(spec)
+    monkeypatch.setattr(fbst.io, "_loadtxt_column", lambda *args, **kwargs: None)
+    return any(p is not None for p in parsed), outcome, _outcome(spec)
+
+
+# name: (file text, with \udcff for the byte 0xff; column; delimiter;
+#        whether the one-pass parse is taken)
+CSV_CASES = {
+    "plain": (_csv_text(), "delta", ",", True),
+    "quoted_cell": (_with_row(3, '3,"0.25"'), "delta", ",", False),
+    "quoted_newline": (_with_row(5, '"five\nlines",0.75'), "delta", ",", False),
+    "quoted_delimiter": (_csv_text(header="a,b,delta", rows=[
+        f'"p,{i}",{i},{i / 8}' for i in range(32)]), "delta", ",", False),
+    "underscore": (_with_row(7, "7,1_000"), "delta", ",", False),
+    "unicode_digits": (_with_row(7, "7,\u0661\u0662"), "delta", ",", False),
+    "lone_cr": (_csv_text(end="\r"), "delta", ",", True),
+    "crlf": (_csv_text(end="\r\n"), "delta", ",", True),
+    "whitespace_line": (_with_row(9, "   "), "delta", ",", False),
+    "whitespace_line_one_column": (_csv_text(header="delta", rows=[
+        "   " if i == 4 else f"{i / 3!r}" for i in range(32)]), None, ",", False),
+    "blank_lines": ("\n\n" + _csv_text().replace("\n1,", "\n\n\n1,"),
+                    "delta", ",", True),
+    "nan": (_with_row(11, "11,nan"), "delta", ",", False),
+    "inf": (_with_row(11, "11,-inf"), "delta", ",", False),
+    "empty_cell": (_with_row(11, "11,"), "delta", ",", False),
+    "short_row": (_with_row(12, "12"), "delta", ",", False),
+    "extra_cells": (_with_row(12, "12,0.5,99,x"), "delta", ",", True),
+    "headerless": (_csv_text(header=None, rows=[
+        f"{i / 7!r}" for i in range(32)]), None, ",", True),
+    "semicolon": (_csv_text(header="step;delta", sep=";"), "delta", ";", True),
+    "header_only": ("step,delta\n\n", "delta", ",", True),
+    "not_utf8": (_with_row(13, "13,\udcff0.5"), "delta", ",", False),
+}
+
+
+class TestCsvOnePassParse:
+    @pytest.mark.parametrize("name", list(CSV_CASES))
+    def test_same_outcome_as_streaming_reader(self, tmp_path, monkeypatch,
+                                              recwarn, name):
+        text, column, delimiter, one_pass = CSV_CASES[name]
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        spec = DrawsFileSpec(path=str(path), format="csv", column=column,
+                             delimiter=delimiter)
+        took, outcome, streamed = _read_both_ways(monkeypatch, spec)
+        assert outcome == streamed
+        assert took == one_pass
+        assert not recwarn.list
+
+    def test_stan_style_file_is_bit_identical(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(200_000)
+        n = 200_000
+        table = np.column_stack([rng.normal(-7, 1, n), rng.uniform(size=n),
+                                 rng.normal(0.3, 1.1, n), rng.gamma(2.0, 1.0, n)])
+        path = tmp_path / "output.csv"
+        np.savetxt(path, table, fmt="%.6g", delimiter=",", comments="",
+                   header="lp__,accept_stat__,delta,sigma")
+        spec = DrawsFileSpec(path=str(path), format="csv", column="delta")
+        took, outcome, streamed = _read_both_ways(monkeypatch, spec)
+        assert took
+        assert outcome == streamed
 
 
 class TestLoadJson:
