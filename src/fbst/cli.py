@@ -8,7 +8,6 @@ diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -16,15 +15,12 @@ import numpy as np
 
 from .core import ReferenceFunction, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
-from .errors import (DimensionError, DomainError, DrawsError, FbstError,
-                     PlotError, ReferenceFunctionError, SamplerError)
+from .errors import DomainError, DrawsError, FbstError
 from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
                  load_reference_table, write_result)
 from .oracle import SEV_FIXTURES, AnalyticPosterior, analytic_evalue_flat
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
-
-GRID_SIZE_ENV = "FBST_GRID_SIZE"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,9 +59,8 @@ def _build_parser() -> _Parser:
                              "or table:<path>")
     common.add_argument("--estimator", choices=("grid", "mc"), default="grid")
     common.add_argument("--bandwidth", type=float, help="kernel bandwidth")
-    common.add_argument("--grid-size", type=int,
-                        help=f"density grid size (default {DEFAULT_GRID_SIZE}; "
-                             f"env {GRID_SIZE_ENV} overrides)")
+    common.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE,
+                        help="density grid size (default %(default)s)")
 
     test = commands.add_parser("test", parents=[common],
                                help="compute the FBST summary")
@@ -116,34 +111,26 @@ def _draws_spec(args) -> DrawsFileSpec:
     return DrawsFileSpec(path=args.draws, format=file_format,
                          column=args.column, delimiter=args.delimiter)
 
-def _grid_size(args, parser: _Parser) -> int:
-    if args.grid_size is not None:
-        return args.grid_size
-    env = os.environ.get(GRID_SIZE_ENV)
-    if env is None:
-        return DEFAULT_GRID_SIZE
-    try:
-        return int(env)
-    except ValueError:
-        parser.error(f"{GRID_SIZE_ENV}={env!r} is not an integer")
-
 def _run_pipeline(args, parser: _Parser):
     sample = load_draws(_draws_spec(args))
     reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
-    grid_size = _grid_size(args, parser)
     result, posterior, surprise, region = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
-        bandwidth=args.bandwidth, grid_size=grid_size)
-    return sample, grid_size, result, posterior, surprise, region
+        bandwidth=args.bandwidth, grid_size=args.grid_size)
+    return sample, result, posterior, surprise, region
 
 
 def run_test(args, parser: _Parser) -> int:
-    sample, grid_size, result, posterior, _, _ = _run_pipeline(args, parser)
-    doc = ResultDocument.from_result(result, sample_size=sample.n,
-                                     bandwidth=posterior.bandwidth,
-                                     grid_size=grid_size)
+    sample, result, posterior, _, _ = _run_pipeline(args, parser)
+    try:
+        doc = ResultDocument.from_result(result, sample_size=sample.n,
+                                         bandwidth=posterior.bandwidth,
+                                         grid_size=args.grid_size)
+    except ValueError as err:  # a bad SOURCE_DATE_EPOCH
+        print(f"fbst: {err}", file=sys.stderr)
+        return 1
     if args.output is None:
         sys.stdout.write(format_result(doc, args.output_format))
     else:
@@ -155,7 +142,7 @@ def run_plot(args, parser: _Parser) -> int:
             and not args.left_boundary < args.right_boundary:
         parser.error(f"invalid range: left boundary {args.left_boundary:g} "
                      f"must lie below right boundary {args.right_boundary:g}")
-    sample, _, _, _, surprise, region = _run_pipeline(args, parser)
+    sample, _, _, surprise, region = _run_pipeline(args, parser)
     spec = PlotSpec(width_px=args.width, height_px=args.height,
                     left_boundary=args.left_boundary,
                     right_boundary=args.right_boundary,
@@ -209,10 +196,6 @@ def main(argv=None) -> int:
     except DrawsError as err:
         print(f"fbst: {err}", file=sys.stderr)
         return 2
-    except (DomainError, DimensionError, ReferenceFunctionError,
-            SamplerError, PlotError) as err:
-        print(f"fbst: {err}", file=sys.stderr)
-        return 3
     except OSError as err:
         print(f"fbst: {err}", file=sys.stderr)
         return 4

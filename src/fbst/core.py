@@ -2,8 +2,8 @@
 
 Pipeline for one test: kde_fit -> surprise_fit -> tangential_region ->
 evalue_grid or evalue_mc -> pvalue_evalue -> standardized_evalue.  The
-`fbst` function orchestrates the whole chain.  `kde_fit` is memoized per
-sample: a PosteriorSample keeps its latest fit, so tests of many nulls and
+`fbst` function orchestrates the whole chain.  Draws enter only as a
+PosteriorSample, which keeps its latest fit, so tests of many nulls and
 references on one sample fit the KDE once.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, PosteriorSample,
-                      kde_eval, kde_fit)
+                      kde_eval, kde_fit, trapezoid_weights)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -119,6 +119,11 @@ class TangentialRegion:
         mask.setflags(write=False)
         object.__setattr__(self, "member_mask", mask)
 
+    @property
+    def member_segments(self) -> np.ndarray:
+        """Grid segments whose two end nodes are both members."""
+        return self.member_mask[1:] & self.member_mask[:-1]
+
     @classmethod
     def from_mask(cls, mask: np.ndarray, grid: np.ndarray) -> "TangentialRegion":
         mask = np.asarray(mask, dtype=bool)
@@ -196,23 +201,18 @@ def tangential_region(s: SurpriseFunction) -> TangentialRegion:
 
 
 def evalue_grid(posterior: DensityEstimate, region: TangentialRegion) -> float:
-    """Trapezoid posterior mass of the region, self-normalized to the grid."""
-    mask = region.member_mask
-    if mask.shape != posterior.grid.shape:
+    """Trapezoid posterior mass of the member segments, normalized to the grid."""
+    if region.member_mask.shape != posterior.grid.shape:
         raise DomainError("region mask does not match the posterior grid")
-    weights = 0.5 * (posterior.values[1:] + posterior.values[:-1]) \
-        * np.diff(posterior.grid)
-    member_segments = mask[1:] & mask[:-1]
-    mass = float(weights[member_segments].sum())
+    weights = trapezoid_weights(posterior.grid, posterior.values)
+    mass = float(weights[region.member_segments].sum())
     total = float(weights.sum())
     return min(1.0, max(0.0, mass / total))
 
 
-def evalue_mc(sample, s: SurpriseFunction) -> float:
+def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:
     """Fraction of draws whose interpolated surprise strictly exceeds s*."""
-    draws = sample.draws if isinstance(sample, PosteriorSample) \
-        else np.asarray(sample, dtype=float).ravel()
-    surprise = np.interp(draws, s.grid, s.values, left=0.0, right=0.0)
+    surprise = np.interp(sample.draws, s.grid, s.values, left=0.0, right=0.0)
     return float(np.mean(surprise > s.s_star))
 
 

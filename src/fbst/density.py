@@ -17,9 +17,9 @@ _BLOCK_TERMS = 1 << 16  # kernel terms per block: 0.5 MB of doubles
 _RADIUS = 9.0  # scaled distance past which every term is capped (9^2 > 80)
 
 
-def trapezoid_mass(grid: np.ndarray, values: np.ndarray) -> float:
-    """Trapezoid-rule integral of a tabulated curve."""
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
+def trapezoid_weights(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule mass of each grid segment of a tabulated curve."""
+    return 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,7 @@ class DensityEstimate:
             raise DomainError("density values must be nonnegative")
         if self.bandwidth <= 0:
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        total = trapezoid_mass(grid, values)
+        total = float(trapezoid_weights(grid, values).sum())
         if not 0.99 <= total <= 1.001:
             raise DomainError(
                 f"density integrates to {total:.6f}, outside [0.99, 1.001]")
@@ -94,21 +94,9 @@ class DensityEstimate:
         object.__setattr__(self, "values", values)
 
 
-def _as_draws(sample) -> np.ndarray:
-    """Draws of a PosteriorSample, or a raw array-like for direct use."""
-    if isinstance(sample, PosteriorSample):
-        return sample.draws
-    arr = np.asarray(sample, dtype=float).ravel()
-    if arr.size < 2:
-        raise DrawsError(f"need at least 2 draws, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise DrawsError("draws must all be finite")
-    return arr
-
-
-def silverman_bandwidth(sample) -> float:
+def silverman_bandwidth(sample: PosteriorSample) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
-    draws = _as_draws(sample)
+    draws = sample.draws
     n = draws.size
     sd = float(draws.std(ddof=1))
     if sd == 0:
@@ -119,28 +107,26 @@ def silverman_bandwidth(sample) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde_fit(sample, bandwidth: float | None = None,
+def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> DensityEstimate:
     """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths.
 
-    A PosteriorSample keeps its latest fit: a repeat call with the same
-    bandwidth and grid_size returns that same estimate.  Raw array-likes are
-    fitted on every call, since their caller may change them in between.
+    The sample keeps its latest fit: a repeat call with the same bandwidth
+    and grid_size returns that same estimate.
     """
     key = (bandwidth, grid_size)
-    slot = sample._latest_fit if isinstance(sample, PosteriorSample) else [None]
-    latest = slot[0]
+    latest = sample._latest_fit[0]
     if latest is not None and latest[0] == key:
         return latest[1]
-    draws = _as_draws(sample)
+    draws = sample.draws
     if grid_size < MIN_GRID_SIZE:
         raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
     if bandwidth is None:
-        h = silverman_bandwidth(draws)
+        h = silverman_bandwidth(sample)
     else:
         h = float(bandwidth)
-        if not h > 0:
-            raise DomainError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < h < math.inf:
+            raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
     grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h, int(grid_size))
     scaled_grid = grid / h
     scaled_draws = draws / h
@@ -171,7 +157,7 @@ def kde_fit(sample, bandwidth: float | None = None,
     est = DensityEstimate(grid=grid, values=values, bandwidth=h,
                           mode_location=float(grid[peak]),
                           mode_density=float(values[peak]))
-    slot[0] = (key, est)
+    sample._latest_fit[0] = (key, est)
     return est
 
 

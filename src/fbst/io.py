@@ -137,7 +137,8 @@ def _load_csv(path: Path, column: str | int | None, delimiter: str) \
 def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
     with path.open(encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            # integers parse as floats, so one past the float range reads as inf
+            payload = json.load(handle, parse_int=float)
         except json.JSONDecodeError as err:
             raise DrawsError(f"{path}:{err.lineno}: {err.msg}") from None
     if isinstance(payload, dict):
@@ -155,8 +156,7 @@ def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
         raise DrawsError(f"{path}: expected an array or an object of arrays")
     draws = []
     for i, value in enumerate(values):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value):
+        if not isinstance(value, float) or not math.isfinite(value):
             raise DrawsError(f"{path}: element {i} of {label!r} is not a finite number")
         draws.append(float(value))
     return draws, label
@@ -230,8 +230,12 @@ class ResultDocument(FbstResult):
 def _now() -> str:
     # SOURCE_DATE_EPOCH pins the timestamp for reproducible outputs
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    when = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc) \
-        if epoch else datetime.datetime.now(datetime.timezone.utc)
+    try:
+        when = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc) \
+            if epoch else datetime.datetime.now(datetime.timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(f"SOURCE_DATE_EPOCH={epoch!r} is not a Unix time in "
+                         "whole seconds") from None
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -1,8 +1,8 @@
 """Standalone SVG rendering of a surprise function and its tangential set.
 
 Output is deterministic: identical inputs produce byte-identical documents.
-The shaded polygons follow the same segment convention as the grid e-value
-estimator (a segment is tangential iff both endpoints are members), so the
+The shaded polygons are the region's member segments, the ones the grid
+e-value estimator weighs (`TangentialRegion.member_segments`), so the
 shaded-area ratio reconstructs the e-value from the emitted coordinates.
 """
 
@@ -68,8 +68,7 @@ def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
     """Render the surprise curve, shaded regions, null marker and cutoff."""
     grid = s.grid
     values = s.values
-    mask = region.member_mask
-    if mask.shape != grid.shape:
+    if region.member_mask.shape != grid.shape:
         raise PlotError("tangential region does not match the surprise grid")
 
     x_lo = float(grid[0]) if spec.left_boundary is None \
@@ -94,7 +93,7 @@ def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
     # classify each display segment by the original segment containing it
     mids = 0.5 * (xs[1:] + xs[:-1])
     owners = np.clip(np.searchsorted(grid, mids) - 1, 0, grid.size - 2)
-    seg_member = mask[owners] & mask[owners + 1]
+    seg_member = region.member_segments[owners]
 
     y_top = float(ys.max())
     if spec.show_cutoff_line:

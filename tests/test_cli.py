@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -68,18 +69,8 @@ class TestTestCommand:
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8").startswith("Full Bayesian")
 
-    def test_grid_size_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FBST_GRID_SIZE", "512")
-        assert _json_doc(capsys)["grid_size"] == 512
-
-    def test_grid_size_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FBST_GRID_SIZE", "512")
+    def test_grid_size_flag(self, capsys):
         assert _json_doc(capsys, ("--grid-size", "256"))["grid_size"] == 256
-
-    def test_bad_grid_size_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FBST_GRID_SIZE", "huge")
-        _usage_error(["test", *BASE])
-        assert "not an integer" in capsys.readouterr().err
 
 
 class TestPlotCommand:
@@ -182,6 +173,30 @@ class TestExitCodes:
             ["--draws", str(path), *BASE[2:]]
         assert main(["test", *argv]) == 2
         assert f"fbst: {path}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_json_integer_past_float_range_is_2(self, capsys, tmp_path):
+        path = tmp_path / "draws.json"
+        path.write_text('{"delta": [' + "0.5, " * 40 + "1" * 400 + "]}",
+                        encoding="utf-8")
+        assert main(["test", "--draws", str(path), *BASE[2:]]) == 2
+        assert capsys.readouterr().err == \
+            f"fbst: {path}: element 40 of 'delta' is not a finite number\n"
+
+    @pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999999"])
+    def test_bad_source_date_epoch_is_1(self, capsys, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["test", *BASE]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fbst: SOURCE_DATE_EPOCH={epoch!r} is not a Unix " \
+            "time in whole seconds\n"
+
+    def test_infinite_bandwidth_is_3(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", *BASE, "--bandwidth", "inf"]) == 3
+        assert capsys.readouterr().err == \
+            "fbst: bandwidth must be positive and finite, got inf\n"
 
     def test_bad_dimensions_are_3(self, capsys):
         assert main(["test", "--draws", DRAWS, "--null", "0",

@@ -53,14 +53,14 @@ class TestReferenceFunction:
 
 class TestSurpriseFit:
     def test_flat_reference_recovers_posterior(self):
-        est = kde_fit(normal_sample(n=2_000).draws)
+        est = kde_fit(normal_sample(n=2_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
         assert np.array_equal(s.values, est.values)
         assert s.s_star == kde_eval(est, 0.0)
         assert 0.0 <= s.relative_null_ratio <= 1.0
 
     def test_posterior_equal_to_reference_is_flat_surprise(self):
-        est = kde_fit(normal_sample(n=2_000).draws)
+        est = kde_fit(normal_sample(n=2_000))
         ref = ReferenceFunction.from_table(est.grid, est.values)
         s = surprise_fit(est, ref, 0.0)
         assert s.values == pytest.approx(np.ones_like(s.values), rel=1e-12)
@@ -74,19 +74,19 @@ class TestSurpriseFit:
         assert s.s_star > 1.0
 
     def test_reference_vanishing_at_null(self):
-        est = kde_fit(normal_sample(mu=0.0, sigma=0.05, n=2_000).draws)
+        est = kde_fit(normal_sample(mu=0.0, sigma=0.05, n=2_000))
         ref = ReferenceFunction.from_family(DensityFamily.normal(0.0, 0.05))
         with pytest.raises(ReferenceFunctionError):
             surprise_fit(est, ref, 40.0)
 
     def test_table_not_covering_grid(self):
-        est = kde_fit(normal_sample(n=2_000).draws)
+        est = kde_fit(normal_sample(n=2_000))
         ref = ReferenceFunction.from_table([-0.5, 0.5], [1.0, 1.0])
         with pytest.raises(ReferenceFunctionError):
             surprise_fit(est, ref, 0.0)
 
     def test_null_outside_grid_gives_zero_ratio(self):
-        est = kde_fit(normal_sample(n=2_000).draws)
+        est = kde_fit(normal_sample(n=2_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 50.0)
         assert s.s_star == 0.0
         assert s.relative_null_ratio == 0.0
@@ -94,21 +94,21 @@ class TestSurpriseFit:
 
 class TestTangentialRegion:
     def test_null_at_mode_gives_empty_region(self):
-        est = kde_fit(normal_sample(n=5_000).draws)
+        est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
         region = tangential_region(s)
         assert not region.member_mask.any()
         assert region.interval_list == ()
 
     def test_far_null_makes_everything_member(self):
-        est = kde_fit(normal_sample(n=5_000).draws)
+        est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         region = tangential_region(s)
         assert region.member_mask.all()
         assert len(region.interval_list) == 1
 
     def test_interior_null_gives_single_interval(self):
-        est = kde_fit(normal_sample(n=5_000).draws)
+        est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
         region = tangential_region(s)
         assert len(region.interval_list) == 1
@@ -129,22 +129,24 @@ class TestTangentialRegion:
         mask = np.array([False, True, True, False, True])
         region = TangentialRegion.from_mask(mask, grid)
         assert region.interval_list == ((1.0, 2.0), (4.0, 4.0))
+        # the lone member node 4 makes an interval but no segment
+        assert region.member_segments.tolist() == [False, True, False, False]
 
 
 class TestEvalueEstimators:
     def test_empty_region_gives_zero(self):
-        est = kde_fit(normal_sample(n=5_000).draws)
+        est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
         assert evalue_grid(est, tangential_region(s)) == 0.0
 
     def test_full_region_gives_one(self):
-        est = kde_fit(normal_sample(n=5_000).draws)
+        est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         assert evalue_grid(est, tangential_region(s)) == 1.0
 
     def test_normal_posterior_oracle(self):
         sample = normal_sample(mu=1.0, n=200_000, seed=12)
-        est = kde_fit(sample.draws)
+        est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
         region = tangential_region(s)
         expected = math.erf(1.0 / math.sqrt(2.0))
@@ -153,18 +155,18 @@ class TestEvalueEstimators:
 
     def test_mc_zero_when_nothing_exceeds(self):
         sample = normal_sample(n=5_000)
-        est = kde_fit(sample.draws)
+        est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
         assert evalue_mc(sample, s) == 0.0
 
     def test_mc_one_when_null_surprise_is_zero(self):
         sample = normal_sample(n=5_000)
-        est = kde_fit(sample.draws)
+        est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         assert evalue_mc(sample, s) == 1.0
 
     def test_region_must_match_grid(self):
-        est = kde_fit(normal_sample(n=2_000).draws)
+        est = kde_fit(normal_sample(n=2_000))
         region = TangentialRegion.from_mask(np.array([True, False]),
                                             np.array([0.0, 1.0]))
         with pytest.raises(DomainError):
@@ -247,7 +249,7 @@ class TestFbst:
 
     def test_null_at_mode(self):
         sample = normal_sample(n=50_000, seed=5)
-        mode = kde_fit(sample.draws).mode_location
+        mode = kde_fit(sample).mode_location
         result = fbst(sample, mode, 3, 2)
         assert result.e_value_against < 1e-3
         assert result.sev > 0.9

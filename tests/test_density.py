@@ -6,7 +6,11 @@ import pytest
 
 from fbst import DensityEstimate, DomainError, DrawsError, PosteriorSample, \
     fbst, kde_eval, kde_fit, silverman_bandwidth
-from fbst.density import trapezoid_mass
+from fbst.density import trapezoid_weights
+
+
+def sample_of(draws, label="x"):
+    return PosteriorSample(draws=draws, label=label)
 
 
 class TestPosteriorSample:
@@ -59,35 +63,32 @@ class TestPosteriorSample:
 
 class TestSilvermanBandwidth:
     def test_two_point_formula(self):
-        sd = np.std([0.0, 1.0], ddof=1)
-        expected = 0.9 * min(sd, 1.0 / 1.34) * 2.0 ** (-0.2)
-        assert silverman_bandwidth([0.0, 1.0]) == pytest.approx(expected, rel=1e-12)
+        draws = np.repeat([0.0, 1.0], 15)
+        sd = np.std(draws, ddof=1)
+        expected = 0.9 * min(sd, 1.0 / 1.34) * 30.0 ** (-0.2)
+        assert silverman_bandwidth(sample_of(draws)) \
+            == pytest.approx(expected, rel=1e-12)
 
     def test_standard_normal_scale(self):
         rng = np.random.default_rng(11)
         draws = rng.standard_normal(10_000)
         expected = 0.9 * 10_000 ** (-0.2)
-        assert silverman_bandwidth(draws) == pytest.approx(expected, rel=0.10)
+        assert silverman_bandwidth(sample_of(draws)) == pytest.approx(expected, rel=0.10)
 
     def test_constant_draws_error(self):
         with pytest.raises(DrawsError):
-            silverman_bandwidth(np.full(50, 3.25))
+            silverman_bandwidth(sample_of(np.full(50, 3.25)))
 
     def test_zero_iqr_falls_back_to_sd(self):
         draws = np.concatenate((np.zeros(98), [-1.0, 1.0]))
         sd = float(draws.std(ddof=1))
         expected = 0.9 * sd * 100 ** (-0.2)
-        assert silverman_bandwidth(draws) == pytest.approx(expected, rel=1e-12)
-
-    def test_accepts_posterior_sample(self):
-        rng = np.random.default_rng(5)
-        sample = PosteriorSample(draws=rng.standard_normal(500), label="x")
-        assert silverman_bandwidth(sample) == silverman_bandwidth(sample.draws)
+        assert silverman_bandwidth(sample_of(draws)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestKdeFit:
     def test_two_kernel_hand_computation(self):
-        est = kde_fit([-1.0, 1.0], bandwidth=1.0)
+        est = kde_fit(sample_of(np.repeat([-1.0, 1.0], 15)), bandwidth=1.0)
         phi_one = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
         assert kde_eval(est, 0.0) == pytest.approx(phi_one, abs=1e-4)
         assert est.grid[0] == pytest.approx(-4.0)
@@ -95,7 +96,7 @@ class TestKdeFit:
 
     def test_large_sample_peak_height(self):
         rng = np.random.default_rng(23)
-        est = kde_fit(rng.standard_normal(1_000_000) + 1.0)
+        est = kde_fit(sample_of(rng.standard_normal(1_000_000) + 1.0))
         target = 1.0 / math.sqrt(2.0 * math.pi)
         assert kde_eval(est, 1.0) == pytest.approx(target, rel=0.02)
         assert est.mode_location == pytest.approx(1.0, abs=0.05)
@@ -104,16 +105,16 @@ class TestKdeFit:
         rng = np.random.default_rng(3)
         half = rng.standard_normal(2_000) + 0.5
         draws = np.concatenate((half, -half))
-        est = kde_fit(draws)
+        est = kde_fit(sample_of(draws))
         assert est.values == pytest.approx(est.values[::-1], abs=1e-12)
         assert est.grid == pytest.approx(-est.grid[::-1], abs=1e-12)
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(17)
         draws = rng.standard_normal(3_000)
-        base = kde_fit(draws)
+        base = kde_fit(sample_of(draws))
         for shift in (-3.0, 2.5, 10.0):
-            moved = kde_fit(draws + shift)
+            moved = kde_fit(sample_of(draws + shift))
             assert moved.bandwidth == pytest.approx(base.bandwidth, rel=1e-12)
             assert moved.grid == pytest.approx(base.grid + shift, abs=1e-9)
             assert moved.values == pytest.approx(base.values, abs=1e-12)
@@ -122,14 +123,14 @@ class TestKdeFit:
     def test_normalization(self, seed, n):
         rng = np.random.default_rng(seed)
         draws = rng.gamma(3.0, 2.0, n)
-        est = kde_fit(draws)
-        assert 0.99 <= trapezoid_mass(est.grid, est.values) <= 1.001
+        est = kde_fit(sample_of(draws))
+        assert 0.99 <= trapezoid_weights(est.grid, est.values).sum() <= 1.001
         assert np.all(est.values >= 0)
 
     @pytest.mark.parametrize("mu,sigma,seed", [(0.0, 1.0, 46), (3.0, 0.5, 49)])
     def test_consistency_against_true_density(self, mu, sigma, seed):
         rng = np.random.default_rng(seed)
-        est = kde_fit(rng.normal(mu, sigma, 100_000))
+        est = kde_fit(sample_of(rng.normal(mu, sigma, 100_000)))
         center = (est.grid >= mu - 2 * sigma) & (est.grid <= mu + 2 * sigma)
         xs = est.grid[center]
         truth = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) \
@@ -139,20 +140,21 @@ class TestKdeFit:
 
     def test_mode_fields_consistent(self):
         rng = np.random.default_rng(9)
-        est = kde_fit(rng.standard_normal(1_000))
+        est = kde_fit(sample_of(rng.standard_normal(1_000)))
         assert est.mode_density == est.values.max()
         assert kde_eval(est, est.mode_location) == est.mode_density
 
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
-            kde_fit(np.arange(50.0), grid_size=64)
+            kde_fit(sample_of(np.arange(50.0)), grid_size=64)
 
     def test_bad_bandwidth(self):
-        with pytest.raises(DomainError):
-            kde_fit(np.arange(50.0), bandwidth=0.0)
+        for bandwidth in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
+                kde_fit(sample_of(np.arange(50.0)), bandwidth=bandwidth)
 
     def test_custom_grid_size(self):
-        est = kde_fit(np.arange(50.0), grid_size=256)
+        est = kde_fit(sample_of(np.arange(50.0)), grid_size=256)
         assert est.grid.size == 256
 
     @pytest.mark.parametrize("draws,grid_size,step", [
@@ -164,8 +166,9 @@ class TestKdeFit:
     def test_matches_exact_sum_of_capped_terms(self, draws, grid_size, step):
         # Oracle: the correctly rounded sum of all n kernel terms, each with
         # the fit's own arithmetic (squared scaled distance capped at 80).
-        est = kde_fit(draws, grid_size=grid_size)
-        h = silverman_bandwidth(draws)
+        sample = sample_of(draws)
+        est = kde_fit(sample, grid_size=grid_size)
+        h = silverman_bandwidth(sample)
         assert np.array_equal(est.grid, np.linspace(
             draws.min() - 3.0 * h, draws.max() + 3.0 * h, grid_size))
         norm = draws.size * h * math.sqrt(2.0 * math.pi)
@@ -199,15 +202,12 @@ class TestFitMemo:
         assert again is not first
         assert np.array_equal(again.values, first.values)
 
-    def test_same_fit_as_raw_draws(self, sample):
-        est, raw = kde_fit(sample), kde_fit(np.array(sample.draws))
-        assert np.array_equal(est.grid, raw.grid)
-        assert np.array_equal(est.values, raw.values)
-        assert est.bandwidth == raw.bandwidth
-
-    def test_raw_draws_are_not_memoized(self, sample):
-        draws = np.array(sample.draws)
-        assert kde_fit(draws) is not kde_fit(draws)
+    def test_same_fit_as_fresh_sample(self, sample):
+        est, fresh = kde_fit(sample), kde_fit(sample_of(sample.draws))
+        assert fresh is not est
+        assert np.array_equal(est.grid, fresh.grid)
+        assert np.array_equal(est.values, fresh.values)
+        assert est.bandwidth == fresh.bandwidth
 
     def test_failed_fit_stores_nothing(self):
         draws = np.append(np.random.default_rng(50).standard_normal(50_000), 1e4)
@@ -232,7 +232,7 @@ class TestKdeEval:
     @pytest.fixture()
     def est(self):
         rng = np.random.default_rng(31)
-        return kde_fit(rng.standard_normal(500))
+        return kde_fit(sample_of(rng.standard_normal(500)))
 
     def test_node_evaluation_exact(self, est):
         for i in (0, 100, 400, est.grid.size - 1):
