@@ -8,9 +8,8 @@ surprise-function plots.
 __version__ = "0.1.0"
 
 from .core import (FbstResult, ReferenceFunction, SurpriseFunction,
-                   TangentialRegion, evalue_grid, evalue_mc, fbst,
-                   fbst_pipeline, pvalue_evalue, standardized_evalue,
-                   surprise_fit, tangential_region)
+                   evalue_grid, evalue_mc, fbst, fbst_pipeline, pvalue_evalue,
+                   standardized_evalue, surprise_fit)
 from .density import (DensityEstimate, PosteriorSample, kde_eval, kde_fit,
                       silverman_bandwidth)
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
@@ -29,12 +28,12 @@ __all__ = [
     "DomainError", "DrawsError", "DrawsFileSpec", "FbstError", "FbstResult",
     "PlotError", "PlotSpec", "PosteriorSample", "ReferenceFunction",
     "ReferenceFunctionError", "ResultDocument", "SamplerError",
-    "SurpriseFunction", "TTestData", "TangentialRegion",
+    "SurpriseFunction", "TTestData",
     "analytic_evalue_flat", "brute_force_evalue",
     "chisq_cdf", "chisq_pdf", "chisq_quantile", "density_eval", "evalue_grid",
     "evalue_mc", "fbst", "fbst_pipeline", "format_result", "kde_eval",
     "kde_fit", "load_draws", "pvalue_evalue", "random_walk_metropolis",
     "reg_lower_incomplete_gamma", "render_fbst_plot", "silverman_bandwidth",
-    "standardized_evalue", "surprise_fit", "tangential_region",
+    "standardized_evalue", "surprise_fit",
     "ttest_metropolis", "write_result", "__version__",
 ]

@@ -115,18 +115,18 @@ def _run_pipeline(args, parser: _Parser):
     sample = load_draws(_draws_spec(args))
     reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
-    result, posterior, surprise, region = fbst_pipeline(
+    result, surprise = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
         bandwidth=args.bandwidth, grid_size=args.grid_size)
-    return sample, result, posterior, surprise, region
+    return sample, result, surprise
 
 
 def run_test(args, parser: _Parser) -> int:
-    sample, result, posterior, _, _ = _run_pipeline(args, parser)
+    sample, result, surprise = _run_pipeline(args, parser)
     try:
         doc = ResultDocument.from_result(result, sample_size=sample.n,
-                                         bandwidth=posterior.bandwidth,
+                                         bandwidth=surprise.posterior.bandwidth,
                                          grid_size=args.grid_size)
     except ValueError as err:  # a bad SOURCE_DATE_EPOCH
         print(f"fbst: {err}", file=sys.stderr)
@@ -142,13 +142,13 @@ def run_plot(args, parser: _Parser) -> int:
             and not args.left_boundary < args.right_boundary:
         parser.error(f"invalid range: left boundary {args.left_boundary:g} "
                      f"must lie below right boundary {args.right_boundary:g}")
-    sample, _, _, surprise, region = _run_pipeline(args, parser)
+    sample, _, surprise = _run_pipeline(args, parser)
     spec = PlotSpec(width_px=args.width, height_px=args.height,
                     left_boundary=args.left_boundary,
                     right_boundary=args.right_boundary,
                     show_cutoff_line=not args.no_cutoff_line,
                     x_label=sample.label)
-    document = render_fbst_plot(surprise, region, spec)
+    document = render_fbst_plot(surprise, spec)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     return 0

@@ -1,10 +1,10 @@
 """The FBST itself: surprise function, tangential set, e-values and p-values.
 
-Pipeline for one test: kde_fit -> surprise_fit -> tangential_region ->
-evalue_grid or evalue_mc -> pvalue_evalue -> standardized_evalue.  The
-`fbst` function orchestrates the whole chain.  Draws enter only as a
-PosteriorSample, which keeps its latest fit, so tests of many nulls and
-references on one sample fit the KDE once.
+Pipeline for one test: kde_fit -> surprise_fit -> evalue_grid or evalue_mc
+-> pvalue_evalue -> standardized_evalue.  The tangential set is derived from
+the surprise function, not a stage.  The `fbst` function orchestrates the
+whole chain.  Draws enter only as a PosteriorSample, which keeps its latest
+fit, so tests of many nulls and references on one sample fit the KDE once.
 """
 
 from __future__ import annotations
@@ -24,23 +24,19 @@ ESTIMATORS = ("grid", "monte_carlo")
 
 @dataclass(frozen=True)
 class ReferenceFunction:
-    """The denominator r(theta) of the surprise function."""
+    """The denominator r(theta) of the surprise function: a density family,
+    a table interpolated on its grid, or flat (r = 1) when given neither."""
 
-    kind: str
     family: DensityFamily | None = None
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
-    descriptor: str = "flat"
+    source: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind == "flat":
+        if self.grid is None and self.values is None:
             return
-        if self.kind == "parametric":
-            if self.family is None:
-                raise DomainError("parametric reference needs a density family")
-            return
-        if self.kind != "tabulated":
-            raise DomainError(f"unknown reference kind {self.kind!r}")
+        if self.family is not None:
+            raise DomainError("reference takes a density family or a table, not both")
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
@@ -56,26 +52,32 @@ class ReferenceFunction:
 
     @classmethod
     def flat(cls) -> "ReferenceFunction":
-        return cls(kind="flat")
+        return cls()
 
     @classmethod
     def from_family(cls, family: DensityFamily) -> "ReferenceFunction":
-        pairs = ",".join(f"{k}={v:g}" for k, v in sorted(family.params.items()))
-        return cls(kind="parametric", family=family,
-                   descriptor=f"{family.family}:{pairs}")
+        return cls(family=family)
 
     @classmethod
     def from_table(cls, grid, values, source: str = "") -> "ReferenceFunction":
-        name = f"table:{source}" if source else "table"
-        return cls(kind="tabulated", grid=grid, values=values, descriptor=name)
+        return cls(grid=grid, values=values, source=source)
+
+    @property
+    def descriptor(self) -> str:
+        if self.family is not None:
+            pairs = ",".join(f"{k}={v:g}" for k, v in sorted(self.family.params.items()))
+            return f"{self.family.family}:{pairs}"
+        if self.grid is None:
+            return "flat"
+        return f"table:{self.source}" if self.source else "table"
 
     def evaluate(self, theta):
         """r(theta) for scalar or array theta."""
-        if self.kind == "flat":
+        if self.family is not None:
+            return density_eval(self.family, theta)
+        if self.grid is None:
             out = np.ones_like(np.asarray(theta, dtype=float))
             return float(out) if out.ndim == 0 else out
-        if self.kind == "parametric":
-            return density_eval(self.family, theta)
         arr = np.asarray(theta, dtype=float)
         if np.any(arr < self.grid[0]) or np.any(arr > self.grid[-1]):
             raise ReferenceFunctionError(
@@ -87,52 +89,56 @@ class ReferenceFunction:
 
 @dataclass(frozen=True)
 class SurpriseFunction:
-    """s(theta) = posterior density / reference, tabulated on the KDE grid."""
+    """s(theta) = posterior density / reference on the posterior grid; the
+    tangential set T = {theta : s(theta) > s*} is derived, not stored."""
 
-    grid: np.ndarray
+    posterior: DensityEstimate
     values: np.ndarray
     s_star: float
     null_value: float
     s0_posterior_density: float
-    mode_surprise: float
-    relative_null_ratio: float
 
     def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != self.posterior.grid.shape:
+            raise DomainError("surprise values do not match the posterior grid")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if not 0.0 <= self.relative_null_ratio <= 1.0:
             raise DomainError(
                 f"relative null ratio {self.relative_null_ratio} outside [0, 1]")
-        for name in ("grid", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
+    @property
+    def grid(self) -> np.ndarray:
+        return self.posterior.grid
 
-@dataclass(frozen=True)
-class TangentialRegion:
-    """Grid nodes where the surprise strictly exceeds s*."""
+    @property
+    def mode_surprise(self) -> float:
+        return float(self.values.max())
 
-    member_mask: np.ndarray
-    interval_list: tuple[tuple[float, float], ...]
+    @property
+    def relative_null_ratio(self) -> float:
+        return self.s0_posterior_density / self.posterior.mode_density
 
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.member_mask, dtype=bool)
-        mask.setflags(write=False)
-        object.__setattr__(self, "member_mask", mask)
+    @property
+    def member_mask(self) -> np.ndarray:
+        """Nodes with s(theta) > s*; ties count toward the null, not the set."""
+        return self.values > self.s_star
 
     @property
     def member_segments(self) -> np.ndarray:
         """Grid segments whose two end nodes are both members."""
-        return self.member_mask[1:] & self.member_mask[:-1]
+        mask = self.member_mask
+        return mask[1:] & mask[:-1]
 
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, grid: np.ndarray) -> "TangentialRegion":
-        mask = np.asarray(mask, dtype=bool)
-        padded = np.concatenate(([False], mask, [False]))
+    @property
+    def interval_list(self) -> tuple[tuple[float, float], ...]:
+        """(first, last) grid node of each run of member nodes."""
+        padded = np.concatenate(([False], self.member_mask, [False]))
         starts = np.flatnonzero(padded[1:] & ~padded[:-1])
         ends = np.flatnonzero(padded[:-1] & ~padded[1:]) - 1
-        intervals = tuple((float(grid[i]), float(grid[j]))
-                          for i, j in zip(starts, ends))
-        return cls(member_mask=mask, interval_list=intervals)
+        return tuple((float(self.grid[i]), float(self.grid[j]))
+                     for i, j in zip(starts, ends))
 
 
 @dataclass(frozen=True)
@@ -185,27 +191,18 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
         raise ReferenceFunctionError(
             f"reference function vanishes at the null value {null_value:g}")
     return SurpriseFunction(
-        grid=posterior.grid,
+        posterior=posterior,
         values=values,
         s_star=s0_density / r0,
         null_value=float(null_value),
         s0_posterior_density=s0_density,
-        mode_surprise=float(values.max()),
-        relative_null_ratio=s0_density / posterior.mode_density,
     )
 
 
-def tangential_region(s: SurpriseFunction) -> TangentialRegion:
-    """Nodes with s(theta) > s*; ties count toward the null, not the region."""
-    return TangentialRegion.from_mask(s.values > s.s_star, s.grid)
-
-
-def evalue_grid(posterior: DensityEstimate, region: TangentialRegion) -> float:
+def evalue_grid(s: SurpriseFunction) -> float:
     """Trapezoid posterior mass of the member segments, normalized to the grid."""
-    if region.member_mask.shape != posterior.grid.shape:
-        raise DomainError("region mask does not match the posterior grid")
-    weights = trapezoid_weights(posterior.grid, posterior.values)
-    mass = float(weights[region.member_segments].sum())
+    weights = trapezoid_weights(s.posterior.grid, s.posterior.values)
+    mass = float(weights[s.member_segments].sum())
     total = float(weights.sum())
     return min(1.0, max(0.0, mass / total))
 
@@ -253,16 +250,15 @@ def fbst_pipeline(sample: PosteriorSample, null_value: float, dim_theta: int,
                   dim_null: int, reference: ReferenceFunction | None = None,
                   estimator: str = "grid", bandwidth: float | None = None,
                   grid_size: int = DEFAULT_GRID_SIZE):
-    """Run the full test and also return its intermediate objects."""
+    """Run the full test; also return its surprise function (and posterior)."""
     _check_dims(dim_theta, dim_null)
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     ref = reference if reference is not None else ReferenceFunction.flat()
     posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
     surprise = surprise_fit(posterior, ref, null_value)
-    region = tangential_region(surprise)
     if estimator == "grid":
-        ev_against = evalue_grid(posterior, region)
+        ev_against = evalue_grid(surprise)
     else:
         ev_against = evalue_mc(sample, surprise)
     ratio = surprise.relative_null_ratio
@@ -283,7 +279,7 @@ def fbst_pipeline(sample: PosteriorSample, null_value: float, dim_theta: int,
         mode_density=posterior.mode_density,
         relative_null_ratio=ratio,
     )
-    return result, posterior, surprise, region
+    return result, surprise
 
 
 def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
@@ -291,7 +287,7 @@ def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
          estimator: str = "grid", bandwidth: float | None = None,
          grid_size: int = DEFAULT_GRID_SIZE) -> FbstResult:
     """Full Bayesian Significance Test of H0: theta = null_value."""
-    result, _, _, _ = fbst_pipeline(sample, null_value, dim_theta, dim_null,
+    result, _ = fbst_pipeline(sample, null_value, dim_theta, dim_null,
                                     reference=reference, estimator=estimator,
                                     bandwidth=bandwidth, grid_size=grid_size)
     return result

@@ -59,13 +59,13 @@ class PosteriorSample:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """A density tabulated on a strictly increasing grid."""
+    """A density tabulated on a strictly increasing grid, with its grid mode."""
 
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-    mode_location: float
-    mode_density: float
+    mode_location: float = field(init=False)
+    mode_density: float = field(init=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -82,16 +82,13 @@ class DensityEstimate:
         if not 0.99 <= total <= 1.001:
             raise DomainError(
                 f"density integrates to {total:.6f}, outside [0.99, 1.001]")
-        if self.mode_density != float(values.max()):
-            raise DomainError("mode_density must equal the maximum value")
-        idx = int(np.searchsorted(grid, self.mode_location))
-        if idx >= grid.size or grid[idx] != self.mode_location \
-                or values[idx] != self.mode_density:
-            raise DomainError("mode_location must attain mode_density on the grid")
         grid.setflags(write=False)
         values.setflags(write=False)
+        peak = int(np.argmax(values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mode_location", float(grid[peak]))
+        object.__setattr__(self, "mode_density", float(values[peak]))
 
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:
@@ -127,7 +124,10 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         h = float(bandwidth)
         if not 0 < h < math.inf:
             raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
-    grid = np.linspace(draws.min() - 3.0 * h, draws.max() + 3.0 * h, int(grid_size))
+    lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"bandwidth {h:g} makes the grid span overflow")
+    grid = np.linspace(lo, hi, int(grid_size))
     scaled_grid = grid / h
     scaled_draws = draws / h
     scaled_draws.sort()
@@ -153,10 +153,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
             np.exp(z, out=z)
             kernel_sums[j:j + nodes] += z.sum(axis=1)
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
-    peak = int(np.argmax(values))
-    est = DensityEstimate(grid=grid, values=values, bandwidth=h,
-                          mode_location=float(grid[peak]),
-                          mode_density=float(values[peak]))
+    est = DensityEstimate(grid=grid, values=values, bandwidth=h)
     sample._latest_fit[0] = (key, est)
     return est
 

@@ -1,8 +1,8 @@
 """Standalone SVG rendering of a surprise function and its tangential set.
 
 Output is deterministic: identical inputs produce byte-identical documents.
-The shaded polygons are the region's member segments, the ones the grid
-e-value estimator weighs (`TangentialRegion.member_segments`), so the
+The shaded polygons are the tangential set's member segments, the ones the
+grid e-value estimator weighs (`SurpriseFunction.member_segments`), so the
 shaded-area ratio reconstructs the e-value from the emitted coordinates.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SurpriseFunction, TangentialRegion
+from .core import SurpriseFunction
 from .errors import PlotError
 
 _MARGIN_LEFT = 60.0
@@ -21,6 +21,8 @@ _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 20.0
 _MARGIN_BOTTOM = 48.0
 _FONT = "font-family=\"sans-serif\" font-size=\"12\""
+_COLOR_TANGENTIAL = "#4878cf"
+_COLOR_COMPLEMENT = "#d65f5f"
 
 
 @dataclass(frozen=True)
@@ -31,14 +33,13 @@ class PlotSpec:
     height_px: int = 500
     left_boundary: float | None = None
     right_boundary: float | None = None
-    color_tangential: str = "#4878cf"
-    color_complement: str = "#d65f5f"
     show_cutoff_line: bool = True
     x_label: str = "parameter"
 
     def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise PlotError("plot dimensions must be positive")
+        if not (self.width_px > _MARGIN_LEFT + _MARGIN_RIGHT
+                and self.height_px > _MARGIN_TOP + _MARGIN_BOTTOM):
+            raise PlotError("plot dimensions must exceed the 80 x 68 px margins")
         if (self.left_boundary is not None and self.right_boundary is not None
                 and not self.left_boundary < self.right_boundary):
             raise PlotError(
@@ -63,13 +64,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return [round(k * step, 12) for k in range(first, last + 1)]
 
 
-def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
-                     spec: PlotSpec) -> str:
+def render_fbst_plot(s: SurpriseFunction, spec: PlotSpec) -> str:
     """Render the surprise curve, shaded regions, null marker and cutoff."""
     grid = s.grid
     values = s.values
-    if region.member_mask.shape != grid.shape:
-        raise PlotError("tangential region does not match the surprise grid")
 
     x_lo = float(grid[0]) if spec.left_boundary is None \
         else max(float(spec.left_boundary), float(grid[0]))
@@ -93,7 +91,7 @@ def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
     # classify each display segment by the original segment containing it
     mids = 0.5 * (xs[1:] + xs[:-1])
     owners = np.clip(np.searchsorted(grid, mids) - 1, 0, grid.size - 2)
-    seg_member = region.member_segments[owners]
+    seg_member = s.member_segments[owners]
 
     y_top = float(ys.max())
     if spec.show_cutoff_line:
@@ -134,9 +132,9 @@ def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
                           for x, y in zip(run_x, run_y))
         points += f" {_px(to_x(run_x[-1]))},{base_y} {_px(to_x(run_x[0]))},{base_y}"
         if seg_member[start]:
-            cls, color = "fill-tangential", spec.color_tangential
+            cls, color = "fill-tangential", _COLOR_TANGENTIAL
         else:
-            cls, color = "fill-complement", spec.color_complement
+            cls, color = "fill-complement", _COLOR_COMPLEMENT
         parts.append(f'<polygon class="{cls}" points="{points}" '
                      f'fill="{color}" fill-opacity="0.6" stroke="none"/>')
         start = stop
@@ -150,14 +148,14 @@ def render_fbst_plot(s: SurpriseFunction, region: TangentialRegion,
         parts.append(
             f'<line class="cutoff-line" x1="{_px(_MARGIN_LEFT)}" y1="{cut_y}" '
             f'x2="{_px(_MARGIN_LEFT + plot_w)}" y2="{cut_y}" '
-            f'stroke="{spec.color_tangential}" stroke-width="1" '
+            f'stroke="{_COLOR_TANGENTIAL}" stroke-width="1" '
             f'stroke-dasharray="6 4"/>')
 
     if x_lo <= s.null_value <= x_hi:
         parts.append(
             f'<circle class="null-marker" cx="{_px(to_x(s.null_value))}" '
             f'cy="{_px(to_y(s.s_star))}" r="4" '
-            f'fill="{spec.color_tangential}" stroke="#222222"/>')
+            f'fill="{_COLOR_TANGENTIAL}" stroke="#222222"/>')
 
     axis_y = _MARGIN_TOP + plot_h
     parts.append(

@@ -18,7 +18,7 @@ from fbst import (DensityEstimate, DensityFamily, PosteriorSample,
                   ReferenceFunction, TTestData, brute_force_evalue, chisq_cdf,
                   chisq_quantile, evalue_grid, evalue_mc, fbst_pipeline,
                   kde_fit, render_fbst_plot, standardized_evalue,
-                  surprise_fit, tangential_region, ttest_metropolis, PlotSpec)
+                  surprise_fit, ttest_metropolis, PlotSpec)
 from fbst.oracle import SEV_FIXTURES
 
 DATA = Path(__file__).parent / "data"
@@ -88,7 +88,7 @@ def battery():
                                  label=shape)
         for ref_name, ref in references:
             for null in nulls:
-                result, _, surprise, _ = fbst_pipeline(
+                result, surprise = fbst_pipeline(
                     sample, null, 3, 2, reference=ref)
                 records.append({
                     "case": f"{shape}/{ref_name}/null={null:g}",
@@ -115,8 +115,7 @@ def reenactment():
         posterior = kde_fit(sample)
         for ref, sink in ((ReferenceFunction.flat(), flat_evs),
                           (cauchy, cauchy_evs)):
-            region = tangential_region(surprise_fit(posterior, ref, 0.0))
-            sink.append(evalue_grid(posterior, region))
+            sink.append(evalue_grid(surprise_fit(posterior, ref, 0.0)))
     return {"flat": flat_evs, "cauchy": cauchy_evs,
             "seconds": time.perf_counter() - start}
 
@@ -139,10 +138,9 @@ def test_02_analytic_oracle_both_estimators():
                                  label="theta")
         posterior = kde_fit(sample)
         surprise = surprise_fit(posterior, ReferenceFunction.flat(), 0.0)
-        region = tangential_region(surprise)
         expected = math.erf(mu / math.sqrt(2.0))
         worst = max(worst,
-                    abs(evalue_grid(posterior, region) - expected),
+                    abs(evalue_grid(surprise) - expected),
                     abs(evalue_mc(sample, surprise) - expected))
     elapsed = time.perf_counter() - start
     _report("AC2 analytic oracle, both estimators",
@@ -216,18 +214,14 @@ def test_07_brute_force_equivalence():
     for name, pdf, cauchy_params, null, lo, hi in cases:
         grid = np.linspace(lo, hi, 4096)
         values = pdf(grid)
-        peak = int(np.argmax(values))
-        posterior = DensityEstimate(grid=grid, values=values, bandwidth=1.0,
-                                    mode_location=float(grid[peak]),
-                                    mode_density=float(values[peak]))
+        posterior = DensityEstimate(grid=grid, values=values, bandwidth=1.0)
         if cauchy_params is None:
             ref, ref_pdf = ReferenceFunction.flat(), _flat_pdf
         else:
             ref = ReferenceFunction.from_family(
                 DensityFamily.cauchy(*cauchy_params))
             ref_pdf = _cauchy_pdf(*cauchy_params)
-        region = tangential_region(surprise_fit(posterior, ref, null))
-        via_grid = evalue_grid(posterior, region)
+        via_grid = evalue_grid(surprise_fit(posterior, ref, null))
         via_brute = brute_force_evalue(pdf, ref_pdf, null, lo, hi, 2_000_000)
         err = abs(via_grid - via_brute)
         if err > worst:
@@ -239,9 +233,9 @@ def test_07_brute_force_equivalence():
 def test_08_svg_contract():
     rng = np.random.default_rng(301)
     sample = PosteriorSample(draws=rng.standard_normal(100_000), label="theta")
-    result, _, surprise, region = fbst_pipeline(sample, 1.0, 1, 0)
+    result, surprise = fbst_pipeline(sample, 1.0, 1, 0)
 
-    root = ET.fromstring(render_fbst_plot(surprise, region, PlotSpec()))
+    root = ET.fromstring(render_fbst_plot(surprise, PlotSpec()))
     areas = {"fill-tangential": 0.0, "fill-complement": 0.0}
     for polygon in root.iter(f"{SVG}polygon"):
         cls = polygon.get("class")
@@ -251,7 +245,7 @@ def test_08_svg_contract():
     area_ok = abs(ratio - result.e_value_against) < 0.02
 
     cropped = ET.fromstring(render_fbst_plot(
-        surprise, region, PlotSpec(right_boundary=0.0)))
+        surprise, PlotSpec(right_boundary=0.0)))
     edge = (float(cropped.get("data-plot-x"))
             + float(cropped.get("data-plot-width")))
     xs = [x for el in cropped.iter(f"{SVG}polygon")

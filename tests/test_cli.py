@@ -206,6 +206,13 @@ class TestExitCodes:
         assert main(["plot", *BASE, "--out", str(tmp_path / "p.svg"),
                      "--left-boundary", "50", "--right-boundary", "60"]) == 3
 
+    def test_plot_without_plot_area_is_3(self, capsys, tmp_path):
+        out = tmp_path / "p.svg"
+        assert main(["plot", *BASE, "--out", str(out),
+                     "--width", "50", "--height", "40"]) == 3
+        assert "margins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_4(self, capsys, tmp_path):
         missing = tmp_path / "no" / "summary.txt"
         assert main(["test", *BASE, "--output", str(missing)]) == 4

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fbst import (DensityFamily, DimensionError, DomainError, FbstResult,
-                  PosteriorSample, ReferenceFunction, ReferenceFunctionError,
-                  SurpriseFunction, TangentialRegion, chisq_cdf,
+from fbst import (DensityEstimate, DensityFamily, DimensionError, DomainError,
+                  FbstResult, PosteriorSample, ReferenceFunction,
+                  ReferenceFunctionError, SurpriseFunction, chisq_cdf,
                   chisq_quantile, evalue_grid, evalue_mc, fbst, kde_eval,
-                  kde_fit, pvalue_evalue, standardized_evalue, surprise_fit,
-                  tangential_region)
+                  kde_fit, pvalue_evalue, standardized_evalue, surprise_fit)
 from fbst.oracle import SEV_FIXTURES
 
 PRIOR_SCALE = math.sqrt(2.0) / 2.0
@@ -17,6 +16,16 @@ PRIOR_SCALE = math.sqrt(2.0) / 2.0
 def normal_sample(mu=1.0, sigma=1.0, n=100_000, seed=8, label="theta"):
     rng = np.random.default_rng(seed)
     return PosteriorSample(draws=rng.normal(mu, sigma, n), label=label)
+
+
+def hand_surprise(values, s_star):
+    """A surprise function over a uniform posterior on the grid 0, 1, 2, ..."""
+    grid = np.arange(float(len(values)))
+    flat = np.full(grid.size, 1.0 / (grid[-1] - grid[0]))
+    posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0)
+    return SurpriseFunction(posterior=posterior, values=np.asarray(values, dtype=float),
+                            s_star=s_star, null_value=0.0,
+                            s0_posterior_density=float(flat[0]))
 
 
 class TestReferenceFunction:
@@ -49,6 +58,15 @@ class TestReferenceFunction:
     def test_table_descriptor_names_source(self):
         ref = ReferenceFunction.from_table([0.0, 1.0], [1.0, 1.0], source="r.csv")
         assert ref.descriptor == "table:r.csv"
+
+    def test_descriptor_follows_family_or_table(self):
+        ref = ReferenceFunction(family=DensityFamily.cauchy(0, 1))
+        assert ref.descriptor == "cauchy:location=0,scale=1"
+        assert ref.evaluate(0.0) == pytest.approx(1.0 / math.pi)
+        assert ReferenceFunction().descriptor == "flat"
+        with pytest.raises(DomainError, match="not both"):
+            ReferenceFunction(family=DensityFamily.cauchy(0, 1),
+                              grid=[0.0, 1.0], values=[1.0, 1.0])
 
 
 class TestSurpriseFit:
@@ -91,66 +109,63 @@ class TestSurpriseFit:
         assert s.s_star == 0.0
         assert s.relative_null_ratio == 0.0
 
+    def test_values_must_match_posterior_grid(self):
+        est = kde_fit(normal_sample(n=2_000))
+        with pytest.raises(DomainError, match="do not match the posterior grid"):
+            SurpriseFunction(posterior=est, values=est.values[:-1], s_star=0.1,
+                             null_value=0.0, s0_posterior_density=0.1)
+
 
 class TestTangentialRegion:
     def test_null_at_mode_gives_empty_region(self):
         est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
-        region = tangential_region(s)
-        assert not region.member_mask.any()
-        assert region.interval_list == ()
+        assert not s.member_mask.any()
+        assert s.interval_list == ()
 
     def test_far_null_makes_everything_member(self):
         est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
-        region = tangential_region(s)
-        assert region.member_mask.all()
-        assert len(region.interval_list) == 1
+        assert s.member_mask.all()
+        assert len(s.interval_list) == 1
 
     def test_interior_null_gives_single_interval(self):
         est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
-        region = tangential_region(s)
-        assert len(region.interval_list) == 1
-        lo, hi = region.interval_list[0]
+        assert len(s.interval_list) == 1
+        lo, hi = s.interval_list[0]
         assert lo <= est.mode_location <= hi
 
     def test_strict_inequality_excludes_ties(self):
-        s = SurpriseFunction(grid=np.array([0.0, 1.0, 2.0, 3.0]),
-                             values=np.array([1.0, 2.0, 2.0, 3.0]),
-                             s_star=2.0, null_value=0.0,
-                             s0_posterior_density=0.5, mode_surprise=3.0,
-                             relative_null_ratio=0.5)
-        region = tangential_region(s)
-        assert region.member_mask.tolist() == [False, False, False, True]
+        s = hand_surprise([1.0, 2.0, 2.0, 3.0], s_star=2.0)
+        assert s.member_mask.tolist() == [False, False, False, True]
+        assert s.mode_surprise == 3.0
 
     def test_mask_and_intervals_agree(self):
-        grid = np.arange(5.0)
-        mask = np.array([False, True, True, False, True])
-        region = TangentialRegion.from_mask(mask, grid)
-        assert region.interval_list == ((1.0, 2.0), (4.0, 4.0))
+        s = hand_surprise([0.0, 1.0, 1.0, 0.0, 1.0], s_star=0.5)
+        assert s.member_mask.tolist() == [False, True, True, False, True]
+        assert s.interval_list == ((1.0, 2.0), (4.0, 4.0))
         # the lone member node 4 makes an interval but no segment
-        assert region.member_segments.tolist() == [False, True, False, False]
+        assert s.member_segments.tolist() == [False, True, False, False]
 
 
 class TestEvalueEstimators:
     def test_empty_region_gives_zero(self):
         est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
-        assert evalue_grid(est, tangential_region(s)) == 0.0
+        assert evalue_grid(s) == 0.0
 
     def test_full_region_gives_one(self):
         est = kde_fit(normal_sample(n=5_000))
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
-        assert evalue_grid(est, tangential_region(s)) == 1.0
+        assert evalue_grid(s) == 1.0
 
     def test_normal_posterior_oracle(self):
         sample = normal_sample(mu=1.0, n=200_000, seed=12)
         est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
-        region = tangential_region(s)
         expected = math.erf(1.0 / math.sqrt(2.0))
-        assert evalue_grid(est, region) == pytest.approx(expected, abs=0.01)
+        assert evalue_grid(s) == pytest.approx(expected, abs=0.01)
         assert evalue_mc(sample, s) == pytest.approx(expected, abs=0.01)
 
     def test_mc_zero_when_nothing_exceeds(self):
@@ -164,13 +179,6 @@ class TestEvalueEstimators:
         est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         assert evalue_mc(sample, s) == 1.0
-
-    def test_region_must_match_grid(self):
-        est = kde_fit(normal_sample(n=2_000))
-        region = TangentialRegion.from_mask(np.array([True, False]),
-                                            np.array([0.0, 1.0]))
-        with pytest.raises(DomainError):
-            evalue_grid(est, region)
 
 
 class TestPvalueEvalue:
@@ -324,3 +332,12 @@ class TestFbstResultInvariants:
         fields = self._fields() | {"dim_null": 3}
         with pytest.raises(DimensionError):
             FbstResult(**fields)
+
+
+def test_public_names_resolve():
+    import fbst
+    for name in fbst.__all__:
+        assert hasattr(fbst, name), name
+    for gone in ("TangentialRegion", "tangential_region"):
+        assert not hasattr(fbst, gone)
+        assert not hasattr(fbst.core, gone)

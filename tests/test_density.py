@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,9 +150,15 @@ class TestKdeFit:
             kde_fit(sample_of(np.arange(50.0)), grid_size=64)
 
     def test_bad_bandwidth(self):
-        for bandwidth in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
-                kde_fit(sample_of(np.arange(50.0)), bandwidth=bandwidth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bandwidth in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
+                    kde_fit(sample_of(np.arange(50.0)), bandwidth=bandwidth)
+            # finite, but the grid span (draw range + 6 bandwidths) overflows
+            for bandwidth, text in ((1e308, "1e\\+308"), (6e307, "6e\\+307")):
+                with pytest.raises(DomainError, match=f"bandwidth {text} makes the grid span"):
+                    kde_fit(sample_of(np.arange(50.0)), bandwidth=bandwidth)
 
     def test_custom_grid_size(self):
         est = kde_fit(sample_of(np.arange(50.0)), grid_size=256)
@@ -257,39 +264,30 @@ class TestDensityEstimateValidation:
     def _args(self):
         grid = np.linspace(-4.0, 4.0, 200)
         values = np.exp(-0.5 * grid ** 2) / math.sqrt(2.0 * math.pi)
-        peak = int(np.argmax(values))
-        return grid, values, float(grid[peak]), float(values[peak])
+        return grid, values
 
     def test_valid_construction(self):
-        grid, values, loc, dens = self._args()
-        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1,
-                              mode_location=loc, mode_density=dens)
-        assert est.mode_density == dens
+        grid, values = self._args()
+        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1)
+        peak = int(np.argmax(values))
+        assert est.mode_density == values[peak]
+        assert est.mode_location == grid[peak]
 
     def test_rejects_unsorted_grid(self):
-        grid, values, loc, dens = self._args()
+        grid, values = self._args()
         bad = grid.copy()
         bad[5] = bad[4]
         with pytest.raises(DomainError):
-            DensityEstimate(grid=bad, values=values, bandwidth=0.1,
-                            mode_location=loc, mode_density=dens)
+            DensityEstimate(grid=bad, values=values, bandwidth=0.1)
 
     def test_rejects_negative_values(self):
-        grid, values, loc, dens = self._args()
+        grid, values = self._args()
         bad = values.copy()
         bad[0] = -1e-3
         with pytest.raises(DomainError):
-            DensityEstimate(grid=grid, values=bad, bandwidth=0.1,
-                            mode_location=loc, mode_density=dens)
+            DensityEstimate(grid=grid, values=bad, bandwidth=0.1)
 
     def test_rejects_bad_normalization(self):
-        grid, values, loc, dens = self._args()
+        grid, values = self._args()
         with pytest.raises(DomainError):
-            DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1,
-                            mode_location=loc, mode_density=dens * 2.0)
-
-    def test_rejects_inconsistent_mode(self):
-        grid, values, loc, dens = self._args()
-        with pytest.raises(DomainError):
-            DensityEstimate(grid=grid, values=values, bandwidth=0.1,
-                            mode_location=loc + 0.001, mode_density=dens)
+            DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1)

@@ -378,7 +378,8 @@ class TestResultDocument:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         rng = np.random.default_rng(11)
         sample = PosteriorSample(draws=rng.standard_normal(2000), label="mu")
-        result, posterior, _, _ = fbst_pipeline(sample, 0.5, 1, 0)
+        result, surprise = fbst_pipeline(sample, 0.5, 1, 0)
+        posterior = surprise.posterior
         doc = ResultDocument.from_result(result, sample_size=sample.n,
                                          bandwidth=posterior.bandwidth,
                                          grid_size=posterior.grid.size)
@@ -396,7 +397,8 @@ class TestResultDocument:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         rng = np.random.default_rng(11)
         sample = PosteriorSample(draws=rng.standard_normal(2000), label="mu")
-        result, posterior, _, _ = fbst_pipeline(sample, 0.5, 1, 0)
+        result, surprise = fbst_pipeline(sample, 0.5, 1, 0)
+        posterior = surprise.posterior
         doc = ResultDocument.from_result(result, sample_size=sample.n,
                                          bandwidth=posterior.bandwidth,
                                          grid_size=posterior.grid.size,

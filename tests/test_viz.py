@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fbst import (PlotError, PlotSpec, PosteriorSample, ReferenceFunction,
-                  TangentialRegion, fbst_pipeline, render_fbst_plot,
-                  surprise_fit, tangential_region)
+                  fbst_pipeline, render_fbst_plot, surprise_fit)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -18,8 +17,8 @@ def fitted():
 
 
 def _render(fitted, **options):
-    _, _, surprise, region = fitted
-    return render_fbst_plot(surprise, region, PlotSpec(**options))
+    _, surprise = fitted
+    return render_fbst_plot(surprise, PlotSpec(**options))
 
 
 def _root(svg_text):
@@ -81,7 +80,7 @@ class TestGeometry:
         assert ratio == pytest.approx(result.e_value_against, abs=0.01)
 
     def test_null_marker_inverts_to_null_value(self, fitted):
-        surprise = fitted[2]
+        surprise = fitted[1]
         root = _root(_render(fitted))
         marker = next(el for el in root.iter(f"{SVG}circle")
                       if el.get("class") == "null-marker")
@@ -94,7 +93,7 @@ class TestGeometry:
         assert theta == pytest.approx(surprise.null_value, abs=1e-3)
 
     def test_cutoff_height_inverts_to_s_star(self, fitted):
-        surprise = fitted[2]
+        surprise = fitted[1]
         root = _root(_render(fitted))
         cutoff = next(el for el in root.iter(f"{SVG}line")
                       if el.get("class") == "cutoff-line")
@@ -114,20 +113,18 @@ class TestGeometry:
         assert all(el.get("class") != "null-marker" for el in root.iter())
 
     def test_empty_region_renders_no_tangential_fill(self, fitted):
-        _, posterior, _, _ = fitted
+        posterior = fitted[1].posterior
         at_mode = surprise_fit(posterior, ReferenceFunction.flat(),
                                posterior.mode_location)
-        empty = tangential_region(at_mode)
-        root = _root(render_fbst_plot(at_mode, empty, PlotSpec()))
+        root = _root(render_fbst_plot(at_mode, PlotSpec()))
         assert all(el.get("class") != "fill-tangential" for el in root.iter())
         assert any(el.get("class") == "fill-complement" for el in root.iter())
 
     def test_full_region_renders_no_complement_fill(self, fitted):
-        _, posterior, _, _ = fitted
+        posterior = fitted[1].posterior
         far = surprise_fit(posterior, ReferenceFunction.flat(),
                            float(posterior.grid[-1]) + 10.0)
-        full = tangential_region(far)
-        root = _root(render_fbst_plot(far, full, PlotSpec()))
+        root = _root(render_fbst_plot(far, PlotSpec()))
         assert all(el.get("class") != "fill-complement" for el in root.iter())
         assert any(el.get("class") == "fill-tangential" for el in root.iter())
 
@@ -138,16 +135,14 @@ class TestValidation:
             PlotSpec(left_boundary=1.0, right_boundary=-1.0)
 
     def test_nonpositive_dimensions(self):
-        with pytest.raises(PlotError, match="dimensions"):
-            PlotSpec(width_px=0)
+        # the plot area is what the margins (80 x 68 px) leave
+        for size in ({"width_px": 0}, {"width_px": 50, "height_px": 40},
+                     {"width_px": 80}, {"height_px": 68}):
+            with pytest.raises(PlotError, match="dimensions"):
+                PlotSpec(**size)
+        PlotSpec(width_px=81, height_px=69)
 
     def test_window_outside_grid(self, fitted):
         with pytest.raises(PlotError, match="leave nothing"):
             _render(fitted, left_boundary=50.0, right_boundary=60.0)
 
-    def test_mask_grid_mismatch(self, fitted):
-        _, _, surprise, _ = fitted
-        wrong = TangentialRegion.from_mask(
-            np.zeros(16, dtype=bool), np.linspace(0.0, 1.0, 16))
-        with pytest.raises(PlotError, match="does not match"):
-            render_fbst_plot(surprise, wrong, PlotSpec())
