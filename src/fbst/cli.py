@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -142,13 +143,12 @@ def run_plot(args, parser: _Parser) -> int:
             and not args.left_boundary < args.right_boundary:
         parser.error(f"invalid range: left boundary {args.left_boundary:g} "
                      f"must lie below right boundary {args.right_boundary:g}")
-    sample, _, surprise = _run_pipeline(args, parser)
     spec = PlotSpec(width_px=args.width, height_px=args.height,
                     left_boundary=args.left_boundary,
                     right_boundary=args.right_boundary,
-                    show_cutoff_line=not args.no_cutoff_line,
-                    x_label=sample.label)
-    document = render_fbst_plot(surprise, spec)
+                    show_cutoff_line=not args.no_cutoff_line)
+    sample, _, surprise = _run_pipeline(args, parser)
+    document = render_fbst_plot(surprise, replace(spec, x_label=sample.label))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(document)
     return 0

@@ -20,6 +20,7 @@ from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
 ESTIMATORS = ("grid", "monte_carlo")
+_MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class ReferenceFunction:
 
     def __post_init__(self) -> None:
         if self.grid is None and self.values is None:
+            if self.source and self.family is None:
+                raise DomainError(f"reference source {self.source!r} has no table")
             return
         if self.family is not None:
             raise DomainError("reference takes a density family or a table, not both")
@@ -178,8 +181,7 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
     """Tabulate s(theta) on the posterior grid and evaluate it at the null."""
     if not math.isfinite(null_value):
         raise DomainError(f"null value must be finite, got {null_value}")
-    ref_values = ref.evaluate(posterior.grid)
-    ref_values = np.asarray(ref_values, dtype=float)
+    ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
     if np.any(ref_values <= 0):
         where = float(posterior.grid[int(np.argmin(ref_values))])
         raise ReferenceFunctionError(
@@ -209,8 +211,13 @@ def evalue_grid(s: SurpriseFunction) -> float:
 
 def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:
     """Fraction of draws whose interpolated surprise strictly exceeds s*."""
-    surprise = np.interp(sample.draws, s.grid, s.values, left=0.0, right=0.0)
-    return float(np.mean(surprise > s.s_star))
+    draws = np.sort(sample.draws)  # so each segment search starts from the last
+    count = 0
+    for start in range(0, draws.size, _MC_PIECE):
+        surprise = np.interp(draws[start:start + _MC_PIECE], s.grid, s.values,
+                             left=0.0, right=0.0)
+        count += int(np.count_nonzero(surprise > s.s_star))
+    return count / draws.size
 
 
 def pvalue_evalue(relative_null_ratio: float, k: int, h: int) -> float:
@@ -287,7 +294,5 @@ def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
          estimator: str = "grid", bandwidth: float | None = None,
          grid_size: int = DEFAULT_GRID_SIZE) -> FbstResult:
     """Full Bayesian Significance Test of H0: theta = null_value."""
-    result, _ = fbst_pipeline(sample, null_value, dim_theta, dim_null,
-                                    reference=reference, estimator=estimator,
-                                    bandwidth=bandwidth, grid_size=grid_size)
-    return result
+    return fbst_pipeline(sample, null_value, dim_theta, dim_null, reference=reference,
+                         estimator=estimator, bandwidth=bandwidth, grid_size=grid_size)[0]

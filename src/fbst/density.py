@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,7 @@ DEFAULT_GRID_SIZE = 1024
 
 _BLOCK_TERMS = 1 << 16  # kernel terms per block: 0.5 MB of doubles
 _RADIUS = 9.0  # scaled distance past which every term is capped (9^2 > 80)
+_SHARED_TERMS = 4_000_000  # terms past which cores share the blocks: ~10 ms on one
 
 
 def trapezoid_weights(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -134,15 +137,43 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     # Past _RADIUS scaled units every term exp(-0.5 * min(z^2, 80)) is capped
     # at exp(-40), so a node sums the sorted draws in its window and adds the
     # capped rest as one product: the same function as summing all n terms.
-    # Blocks of nodes one bandwidth wide sum their terms pairwise by piece.
-    nodes = int(min(max(1.0, h / (grid[1] - grid[0])), _BLOCK_TERMS))
+    # Blocks of nodes one bandwidth wide sum their terms pairwise by piece;
+    # the blocks are disjoint, so cores can share them with the same sums.
+    per_node = h / (grid[1] - grid[0])
+    nodes = int(min(max(1.0, per_node), _BLOCK_TERMS))
+    kernel_sums = np.empty(grid.size)
+    workers = 1
+    if draws.size * (2.0 * _RADIUS * per_node + nodes) > _SHARED_TERMS:
+        affinity = getattr(os, "sched_getaffinity", None)  # cores this process may use
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    errors = []
+    def fill(first: int) -> None:
+        try:
+            _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, workers)
+        except BaseException as err:  # raised below, once every thread is done
+            errors.append(err)
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    fill(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
+    est = DensityEstimate(grid=grid, values=values, bandwidth=h)
+    sample._latest_fit[0] = (key, est)
+    return est
+
+
+def _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride) -> None:
+    """Fill the kernel sums of every stride-th block of nodes from block first."""
     width = _BLOCK_TERMS // nodes
     buf = np.empty(_BLOCK_TERMS)
-    kernel_sums = np.empty(grid.size)
-    for j in range(0, grid.size, nodes):
+    for j in range(first * nodes, scaled_grid.size, stride * nodes):
         block = scaled_grid[j:j + nodes]
         lo, hi = np.searchsorted(scaled_draws, (block[0] - _RADIUS, block[-1] + _RADIUS))
-        kernel_sums[j:j + nodes] = (draws.size - (hi - lo)) * np.exp(-40.0)
+        kernel_sums[j:j + nodes] = (scaled_draws.size - (hi - lo)) * np.exp(-40.0)
         for start in range(lo, hi, width):
             x = scaled_draws[start:min(start + width, hi)]
             z = buf[:block.size * x.size].reshape(block.size, x.size)
@@ -152,10 +183,6 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
             z *= -0.5
             np.exp(z, out=z)
             kernel_sums[j:j + nodes] += z.sum(axis=1)
-    values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
-    est = DensityEstimate(grid=grid, values=values, bandwidth=h)
-    sample._latest_fit[0] = (key, est)
-    return est
 
 
 def kde_eval(est: DensityEstimate, theta):

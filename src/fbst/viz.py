@@ -39,7 +39,8 @@ class PlotSpec:
     def __post_init__(self) -> None:
         if not (self.width_px > _MARGIN_LEFT + _MARGIN_RIGHT
                 and self.height_px > _MARGIN_TOP + _MARGIN_BOTTOM):
-            raise PlotError("plot dimensions must exceed the 80 x 68 px margins")
+            raise PlotError(f"plot dimensions {self.width_px} x {self.height_px} px "
+                            "must exceed the 80 x 68 px margins")
         if (self.left_boundary is not None and self.right_boundary is not None
                 and not self.left_boundary < self.right_boundary):
             raise PlotError(

@@ -213,6 +213,14 @@ class TestExitCodes:
         assert "margins" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plot_size_checked_before_draws_are_read(self, capsys, tmp_path):
+        out = tmp_path / "p.svg"
+        argv = ["plot", "--draws", str(tmp_path / "missing.csv"), *BASE[2:],
+                "--out", str(out), "--width", "50", "--height", "40"]
+        assert main(argv) == 3
+        assert "50 x 40 px" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_4(self, capsys, tmp_path):
         missing = tmp_path / "no" / "summary.txt"
         assert main(["test", *BASE, "--output", str(missing)]) == 4

@@ -59,6 +59,10 @@ class TestReferenceFunction:
         ref = ReferenceFunction.from_table([0.0, 1.0], [1.0, 1.0], source="r.csv")
         assert ref.descriptor == "table:r.csv"
 
+    def test_source_without_table_is_rejected(self):
+        with pytest.raises(DomainError, match="'r.csv' has no table"):
+            ReferenceFunction(source="r.csv")
+
     def test_descriptor_follows_family_or_table(self):
         ref = ReferenceFunction(family=DensityFamily.cauchy(0, 1))
         assert ref.descriptor == "cauchy:location=0,scale=1"
@@ -179,6 +183,63 @@ class TestEvalueEstimators:
         est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         assert evalue_mc(sample, s) == 1.0
+
+
+def mc_unsorted(sample, s):
+    """The MC e-value as the mean over the draws in their own order."""
+    surprise = np.interp(sample.draws, s.grid, s.values, left=0.0, right=0.0)
+    return float(np.mean(surprise > s.s_star))
+
+
+class TestSortedMcCount:
+    """evalue_mc counts sorted draws by piece, bit-equal to the unsorted mean."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        sample = normal_sample(mu=0.5, n=30_000, seed=21)
+        return sample, kde_fit(sample)
+
+    @pytest.mark.parametrize("null", [-1.0, 0.2, 1.7, "node 600"])
+    def test_draws_on_grid_nodes(self, fitted, null):
+        _, est = fitted
+        if null == "node 600":  # s* is then the surprise of the draws at that node
+            null = float(est.grid[600])
+        s = surprise_fit(est, ReferenceFunction.flat(), null)
+        on_nodes = PosteriorSample(draws=np.tile(est.grid, 3), label="nodes")
+        assert evalue_mc(on_nodes, s) == mc_unsorted(on_nodes, s)
+
+    def test_draws_outside_the_grid(self, fitted):
+        sample, est = fitted
+        s = surprise_fit(est, ReferenceFunction.flat(), 1.2)
+        wide = PosteriorSample(draws=np.concatenate(
+            (sample.draws, est.grid[0] - np.arange(1.0, 500.0),
+             est.grid[-1] + np.arange(1.0, 500.0))), label="wide")
+        assert evalue_mc(wide, s) == mc_unsorted(wide, s)
+
+    @pytest.mark.parametrize("quantile", [0.05, 0.3, 0.6, 0.9])
+    def test_metropolis_chain_with_repeats(self, example_chain, quantile):
+        assert np.unique(example_chain.draws).size < example_chain.n
+        est = kde_fit(example_chain)
+        null = float(np.quantile(example_chain.draws, quantile))
+        s = surprise_fit(est, ReferenceFunction.from_family(
+            DensityFamily.cauchy(0.0, PRIOR_SCALE)), null)
+        assert evalue_mc(example_chain, s) == mc_unsorted(example_chain, s)
+
+    def test_zero_null_surprise(self, fitted):
+        sample, est = fitted
+        s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
+        assert s.s_star == 0.0
+        assert evalue_mc(sample, s) == mc_unsorted(sample, s) == 1.0
+
+    @pytest.mark.parametrize("n", [1_000, 1 << 16, (1 << 16) + 77, 3 * (1 << 16) - 5])
+    def test_sizes_around_the_piece(self, n):
+        sample = normal_sample(mu=0.0, n=n, seed=n)
+        est = kde_fit(sample)
+        for null in (-0.4, 0.1, 1.3):
+            s = surprise_fit(est, ReferenceFunction.flat(), null)
+            ev = evalue_mc(sample, s)
+            assert type(ev) is float
+            assert ev == mc_unsorted(sample, s)
 
 
 class TestPvalueEvalue:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from fbst import DensityEstimate, DomainError, DrawsError, PosteriorSample, \
     fbst, kde_eval, kde_fit, silverman_bandwidth
+from fbst import density
 from fbst.density import trapezoid_weights
 
 
@@ -233,6 +236,91 @@ class TestFitMemo:
         assert renamed._latest_fit == [None]
         assert kde_fit(renamed) is not est
         assert kde_fit(sample) is est
+
+
+def _stray_draws():
+    return np.append(np.random.default_rng(50).standard_normal(50_000), 1e4)
+
+
+class TestSharedBlocks:
+    """kde_fit splits its node blocks across the usable cores, same sums."""
+
+    @pytest.fixture()
+    def cores(self, monkeypatch):
+        def use(count, shared_terms=density._SHARED_TERMS):
+            monkeypatch.setattr(density.os, "sched_getaffinity",
+                                lambda pid: set(range(count)), raising=False)
+            monkeypatch.setattr(density, "_SHARED_TERMS", shared_terms)
+        return use
+
+    @pytest.mark.parametrize("draws,grid_size", [
+        (np.random.default_rng(7).standard_normal(100_000), 1024),
+        (np.random.default_rng(8).gamma(3.0, 1.0, 20_000), 1024),
+        (np.random.default_rng(300).gamma(2.0, 1.5, 300), 70_000),
+    ], ids=["normal-100000", "gamma3-20000", "gamma-300-wide-grid"])
+    def test_worker_count_keeps_sums_bit_equal(self, cores, draws, grid_size):
+        fits = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            for count in (1, 3):  # 3 workers, whatever the core count
+                cores(count, shared_terms=0)  # split even the small fits
+                fits.append(kde_fit(sample_of(draws), grid_size=grid_size))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(fits[0].grid, fits[1].grid)
+        assert np.array_equal(fits[0].values, fits[1].values)
+        assert fits[0].bandwidth == fits[1].bandwidth
+
+    def test_stray_draw_fails_alike(self, cores):
+        messages = []
+        for count in (1, 3):
+            cores(count, shared_terms=0)
+            with pytest.raises(DomainError, match="density integrates to") as err:
+                kde_fit(sample_of(_stray_draws()))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_small_fits_stay_on_the_calling_thread(self, cores, monkeypatch):
+        calls = []
+        fill = density._fill_blocks
+
+        def spy(*args):
+            calls.append((*args[-2:], threading.current_thread()))
+            fill(*args)
+
+        monkeypatch.setattr(density, "_fill_blocks", spy)
+        cores(3)
+        kde_fit(sample_of(np.random.default_rng(9).gamma(2.0, 1.5, 300)))
+        with pytest.raises(DomainError):
+            kde_fit(sample_of(_stray_draws()))
+        assert calls == [(0, 1, threading.current_thread())] * 2
+        calls.clear()
+        kde_fit(sample_of(np.random.default_rng(7).standard_normal(100_000)))
+        assert sorted(call[:2] for call in calls) == [(0, 3), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("share", [0, 2], ids=["calling-thread", "worker"])
+    def test_error_reaches_caller(self, cores, monkeypatch, share):
+        fill = density._fill_blocks
+        failed_on = []
+
+        def failing(*args):
+            if args[-2] == share:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("block fill failed")
+            fill(*args)
+
+        monkeypatch.setattr(density, "_fill_blocks", failing)
+        cores(3, shared_terms=0)
+        sample = sample_of(np.random.default_rng(10).standard_normal(20_000))
+        with pytest.raises(RuntimeError, match="block fill failed"):
+            kde_fit(sample)
+        assert len(failed_on) == 1
+        assert (failed_on[0] is threading.current_thread()) == (share == 0)
+        assert sample._latest_fit == [None]
+        monkeypatch.setattr(density, "_fill_blocks", fill)
+        assert np.array_equal(kde_fit(sample).values,
+                              kde_fit(sample_of(sample.draws)).values)
 
 
 class TestKdeEval:
