@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, PosteriorSample,
-                      kde_eval, kde_fit, trapezoid_weights)
+                      kde_eval, kde_fit)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -203,9 +203,8 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
 
 def evalue_grid(s: SurpriseFunction) -> float:
     """Trapezoid posterior mass of the member segments, normalized to the grid."""
-    weights = trapezoid_weights(s.posterior.grid, s.posterior.values)
-    mass = float(weights[s.member_segments].sum())
-    total = float(weights.sum())
+    mass = float(s.posterior.segment_mass[s.member_segments].sum())
+    total = float(s.posterior.segment_mass.sum())
     return min(1.0, max(0.0, mass / total))
 
 
@@ -231,7 +230,8 @@ def pvalue_evalue(relative_null_ratio: float, k: int, h: int) -> float:
 
 
 def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float]:
-    """(sev_against, sev) with sev_against = F_{k-h}(F_k^{-1}(ev_against))."""
+    """(sev_against, sev) with sev_against = F_{k-h}(F_k^{-1}(ev_against)),
+    which is ev_against itself, returned exactly, when h = 0."""
     _check_dims(k, h)
     if not 0.0 <= ev_against <= 1.0:
         raise DomainError(f"e-value must lie in [0, 1], got {ev_against}")
@@ -239,6 +239,8 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
         return 0.0, 1.0
     if ev_against == 1.0:
         return 1.0, 0.0
+    if h == 0:
+        return ev_against, 1.0 - ev_against
     sev_against = chisq_cdf(chisq_quantile(ev_against, k), k - h)
     return sev_against, 1.0 - sev_against
 

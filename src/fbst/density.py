@@ -62,13 +62,14 @@ class PosteriorSample:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """A density tabulated on a strictly increasing grid, with its grid mode."""
+    """A density on a strictly increasing grid, with its mode and segment masses."""
 
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)
+    segment_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -81,17 +82,19 @@ class DensityEstimate:
             raise DomainError("density values must be nonnegative")
         if self.bandwidth <= 0:
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        total = float(trapezoid_weights(grid, values).sum())
+        segment_mass = trapezoid_weights(grid, values)
+        total = float(segment_mass.sum())
         if not 0.99 <= total <= 1.001:
             raise DomainError(
                 f"density integrates to {total:.6f}, outside [0.99, 1.001]")
-        grid.setflags(write=False)
-        values.setflags(write=False)
+        for arr in (grid, values, segment_mass):
+            arr.setflags(write=False)
         peak = int(np.argmax(values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mode_location", float(grid[peak]))
         object.__setattr__(self, "mode_density", float(values[peak]))
+        object.__setattr__(self, "segment_mass", segment_mass)
 
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:

@@ -2,8 +2,8 @@
 
 The chi-square CDF is built on the regularized lower incomplete gamma
 function P(a, x), evaluated by a series expansion for x < a + 1 and by a
-continued fraction otherwise.  Quantiles invert the CDF with a bracketed
-Newton iteration.  Everything here is pure and thread-safe.
+continued fraction otherwise.  Quantiles invert the CDF from a close start
+to a relative tolerance.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _gamma_series(a: float, x: float) -> float:
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * _EPS:
+        if term < total * _EPS:  # every term and the total are positive
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
@@ -43,15 +43,15 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
+        if -_FPMIN < d < _FPMIN:
             d = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
+        if -_FPMIN < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if -_EPS < delta - 1.0 < _EPS:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
@@ -90,7 +90,10 @@ def chisq_cdf(x: float, df: float) -> float:
     return reg_lower_incomplete_gamma(df / 2.0, x / 2.0)
 
 def chisq_quantile(p: float, df: float) -> float:
-    """Inverse of chisq_cdf in p, by bracketed Newton iteration."""
+    """Inverse of chisq_cdf in p, by bracketed third-order (Chebyshev) steps from
+    the Wilson-Hilferty cube df (1 - c + z sqrt(c))^3 (c = 2/(9 df), z ~ the normal
+    p-quantile), or for small p the small-x law F(x) ~ (x/2)^(df/2) / Gamma(df/2 + 1),
+    until |F(x) - p| <= 1e-15 p or the bracket is 1e-15 x wide."""
     if df <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if p < 0 or p >= 1:
@@ -104,18 +107,25 @@ def chisq_quantile(p: float, df: float) -> float:
             break
         lo = hi
         hi *= 2.0
-    x = 0.5 * (lo + hi)
+    half, c = df / 2.0, 2.0 / (9.0 * df)
+    cube = 1.0 - c + 4.91 * (p ** 0.14 - (1.0 - p) ** 0.14) * math.sqrt(c)
+    small = math.exp((math.log(p) + math.lgamma(half + 1.0)) / half)  # x/2, small-x law
+    x = (2.0 * small * (1.0 + small / (half + 1.0))
+         if cube <= 0 or small < 0.2 * (half + 1.0) else df * cube ** 3)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     for _ in range(200):
         f = chisq_cdf(x, df) - p
         if f > 0:
             hi = x
         else:
             lo = x
-        if abs(f) < 1e-15 or hi - lo < 1e-15 * (1.0 + x):
+        if abs(f) <= 1e-15 * p or hi - lo <= 1e-15 * x:
             break
         slope = chisq_pdf(x, df)
         if slope > 0 and math.isfinite(slope):
-            step = x - f / slope
+            t = f / slope  # the Newton step, then its correction by pdf'/pdf
+            step = x - t * (1.0 + 0.5 * t * ((half - 1.0) / x - 0.5))
         else:
             step = lo  # force the bisection branch
         x = step if lo < step < hi else 0.5 * (lo + hi)

@@ -290,6 +290,11 @@ class TestStandardizedEvalue:
         assert sev_against \
             == pytest.approx(chisq_cdf(chisq_quantile(0.77, 5), 2), abs=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_no_null_dimension_is_identity(self, k):
+        for ev in (1e-9, 0.05, 0.3, 0.8305998, 0.99, 1.0 - 1e-12):
+            assert standardized_evalue(ev, k, 0) == (ev, 1.0 - ev)
+
     def test_monotone_nonincreasing_in_evalue(self):
         grid = np.linspace(0.001, 0.999, 999)
         sevs = [standardized_evalue(float(ev), 3, 2)[1] for ev in grid]
@@ -315,6 +320,11 @@ class TestFbst:
         computed = standardized_evalue(result.e_value_against, 3, 2)
         assert result.sev_against == computed[0]
         assert result.sev == computed[1]
+
+    def test_scalar_sharp_null_sev_is_evalue(self):
+        result = fbst(normal_sample(n=20_000, seed=23), 0.4, 1, 0)
+        assert result.sev_against == result.e_value_against
+        assert result.sev == result.e_value_in_favor
 
     def test_null_at_mode(self):
         sample = normal_sample(n=50_000, seed=5)

@@ -361,6 +361,12 @@ class TestDensityEstimateValidation:
         assert est.mode_density == values[peak]
         assert est.mode_location == grid[peak]
 
+    def test_segment_mass_is_derived_and_read_only(self):
+        grid, values = self._args()
+        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1)
+        assert np.array_equal(est.segment_mass, trapezoid_weights(grid, values))
+        assert not est.segment_mass.flags.writeable
+
     def test_rejects_unsorted_grid(self):
         grid, values = self._args()
         bad = grid.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbst import DensityFamily, DomainError, chisq_cdf, chisq_pdf, \
-    chisq_quantile, density_eval, reg_lower_incomplete_gamma
+    chisq_quantile, density_eval, reg_lower_incomplete_gamma, special_math
 
 # frozen against a 50-digit arbitrary-precision series evaluation
 GAMMA_P_PINS = [
@@ -51,6 +51,47 @@ class TestRegLowerIncompleteGamma:
     def test_domain_errors(self, a, x):
         with pytest.raises(DomainError):
             reg_lower_incomplete_gamma(a, x)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 4.0, 25.0])
+    def test_loops_bit_equal_to_abs_tests(self, a):
+        """Both loops decide as the abs()-based tests did: same values, bit for bit."""
+        xs = [1e-8, 0.1, 0.5 * (a + 1.0), a, a + 1.0 - 1e-9, a + 1.0,
+              a + 1.0 + 1e-9, 1.5 * (a + 1.0), a + 10.0, 4.0 * a + 40.0]
+        for x in xs:
+            assert reg_lower_incomplete_gamma(a, x) == _abs_tested_gamma_p(a, x), x
+
+
+def _abs_tested_gamma_p(a, x):
+    """P(a, x) by the series and continued-fraction loops with abs() tests."""
+    eps, fpmin = 1e-15, 1e-300
+    if x < a + 1.0:
+        ap, total = a, 1.0 / a
+        term = total
+        for _ in range(500):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if abs(term) < abs(total) * eps:
+                break
+        return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    b = x + 1.0 - a
+    c, d = 1.0 / fpmin, 1.0 / b
+    h = d
+    for i in range(1, 501):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < fpmin:
+            d = fpmin
+        c = b + an / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return 1.0 - math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
 class TestChisqCdf:
@@ -113,6 +154,27 @@ class TestChisqQuantile:
         for p in (1e-9, 1e-4, 0.9999, 1.0 - 1e-9):
             assert chisq_cdf(chisq_quantile(p, 3.0), 3.0) \
                 == pytest.approx(p, abs=1e-10)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 8])
+    @pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-6])
+    def test_small_p_relative_accuracy(self, p, df):
+        x = chisq_quantile(p, df)
+        assert x > 0.0
+        assert abs(chisq_cdf(x, df) / p - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("df", [1, 3, 8])
+    def test_few_cdf_evaluations(self, df, monkeypatch):
+        calls = []
+
+        def counted(x, d):
+            calls.append(x)
+            return chisq_cdf(x, d)
+
+        monkeypatch.setattr(special_math, "chisq_cdf", counted)
+        ps = np.arange(0.001, 0.999, 0.007)
+        for p in ps:
+            special_math.chisq_quantile(float(p), df)
+        assert len(calls) / ps.size <= 6.0
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_domain_errors(self, p):
