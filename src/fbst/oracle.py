@@ -9,6 +9,7 @@ integrator deliberately shares no quadrature code with the core module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ SEV_FIXTURES = (
 )
 
 _ADAPT_WINDOW = 50
+_CHUNK = 512  # iterations per batch of draws after burn-in
 _ACCEPT_TARGET = (0.2, 0.5)
 _ACCEPT_LIMITS = (0.1, 0.7)
 
@@ -90,40 +92,51 @@ def random_walk_metropolis(log_density, initial, iterations: int, seed: int,
 
     The global step factor adapts during the first 10% of iterations to pull
     the acceptance rate into [0.2, 0.5]; adaptation then freezes.  Raises
-    SamplerError if the frozen chain accepts outside [0.1, 0.7].
+    SamplerError if the frozen chain accepts outside [0.1, 0.7].  log_density
+    receives each state as a tuple of Python floats.
     """
-    state = np.asarray(initial, dtype=float).copy()
+    if iterations < 1:
+        raise DomainError(f"need at least 1 iteration, got {iterations}")
+    state = np.asarray(initial, dtype=float)
     scales = np.asarray(step_scales, dtype=float)
     if state.shape != scales.shape or state.ndim != 1:
         raise DomainError("initial state and step scales must match in shape")
-    rng = np.random.default_rng(seed)
-    jumps = rng.standard_normal((iterations, state.size))
-    log_uniforms = np.log(rng.random(iterations))
-    burn_in = iterations // 10
+    dim, burn_in = state.size, iterations // 10
+    state = tuple(state.tolist())
+    # the step is constant within each adaptation window and after burn-in;
+    # the seed's stream holds every jump, then every uniform: the second
+    # generator skips the jumps, and both draw a window or chunk at a time
+    bounds = [*range(0, burn_in, _ADAPT_WINDOW),
+              *range(burn_in, iterations, _CHUNK), iterations]
+    jump_rng, uniform_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for start, stop in zip(bounds, bounds[1:]):
+        uniform_rng.standard_normal((stop - start, dim))
     step = float(initial_step)
     log_p = float(log_density(state))
-    kept = np.empty((iterations - burn_in, state.size))
-    accepted_window = 0
+    kept = np.empty((iterations - burn_in, dim))
     accepted_main = 0
-    for i in range(iterations):
-        proposal = state + step * scales * jumps[i]
-        log_p_new = float(log_density(proposal))
-        if log_p_new - log_p > log_uniforms[i]:
-            state = proposal
-            log_p = log_p_new
-            if i < burn_in:
-                accepted_window += 1
-            else:
-                accepted_main += 1
-        if i < burn_in and (i + 1) % _ADAPT_WINDOW == 0:
-            rate = accepted_window / _ADAPT_WINDOW
+    for start, stop in zip(bounds, bounds[1:]):
+        moves = (step * scales * jump_rng.standard_normal((stop - start, dim))).tolist()
+        log_uniforms = np.log(uniform_rng.random(stop - start)).tolist()
+        path = []
+        accepted = 0
+        for move, log_u in zip(moves, log_uniforms):
+            proposal = tuple(map(operator.add, state, move))
+            log_p_new = float(log_density(proposal))
+            if log_p_new - log_p > log_u:
+                state = proposal
+                log_p = log_p_new
+                accepted += 1
+            path.append(state)
+        if start >= burn_in:
+            kept[start - burn_in:stop - burn_in] = path
+            accepted_main += accepted
+        elif stop - start == _ADAPT_WINDOW:
+            rate = accepted / _ADAPT_WINDOW
             if rate < _ACCEPT_TARGET[0]:
                 step *= 0.8
             elif rate > _ACCEPT_TARGET[1]:
                 step *= 1.25
-            accepted_window = 0
-        if i >= burn_in:
-            kept[i - burn_in] = state
     rate = accepted_main / (iterations - burn_in)
     if not _ACCEPT_LIMITS[0] <= rate <= _ACCEPT_LIMITS[1]:
         raise SamplerError(
@@ -150,6 +163,8 @@ def ttest_metropolis(data: TTestData, prior_scale: float, iterations: int,
     mean1, mean2 = float(g1.mean()), float(g2.mean())
     ss1 = float(((g1 - mean1) ** 2).sum())
     ss2 = float(((g2 - mean2) ** 2).sum())
+    if ss1 + ss2 == 0:
+        raise DomainError("zero pooled variance: each group's observations are equal")
     pooled_sd = math.sqrt((ss1 + ss2) / (total_n - 2))
 
     def log_post(theta):

@@ -102,6 +102,25 @@ class TestRandomWalkMetropolis:
                                    100_000, seed=1,
                                    step_scales=np.array([1.0]))
 
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_iterations_below_one(self, iterations):
+        with pytest.raises(DomainError, match=f"got {iterations}$"):
+            random_walk_metropolis(lambda theta: 0.0, np.array([0.0]),
+                                   iterations, seed=1,
+                                   step_scales=np.array([1.0]))
+
+    def test_log_density_receives_tuple_of_floats(self):
+        seen = []
+
+        def log_density(theta):
+            seen.append(theta)
+            return -0.5 * theta[0] ** 2
+
+        random_walk_metropolis(log_density, np.array([0.0]), 100, seed=1,
+                               step_scales=np.array([3.0]))
+        assert all(type(theta) is tuple and type(theta[0]) is float
+                   for theta in seen)
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             random_walk_metropolis(lambda theta: 0.0, np.array([0.0, 1.0]),
@@ -156,6 +175,11 @@ class TestTTestMetropolis:
         data = TTestData(group1=[0.0, 1.0], group2=[0.5, 1.5])
         with pytest.raises(DomainError):
             ttest_metropolis(data, 0.0, 100_000, seed=1)
+
+    def test_zero_pooled_variance(self):
+        data = TTestData(group1=[1.0, 1.0], group2=[2.0, 2.0])
+        with pytest.raises(DomainError, match="zero pooled variance"):
+            ttest_metropolis(data, PRIOR_SCALE, 100_000, seed=1)
 
     def test_data_validation(self):
         with pytest.raises(DomainError):
