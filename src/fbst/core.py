@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, PosteriorSample,
-                      kde_eval, kde_fit)
+                      freeze_fields, kde_eval, kde_fit)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -23,7 +23,7 @@ ESTIMATORS = ("grid", "monte_carlo")
 _MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceFunction:
     """The denominator r(theta) of the surprise function: a density family,
     a table interpolated on its grid, or flat (r = 1) when given neither."""
@@ -40,18 +40,15 @@ class ReferenceFunction:
             return
         if self.family is not None:
             raise DomainError("reference takes a density family or a table, not both")
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        values = np.array(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise DomainError("tabulated reference needs matching grid and values")
         if not np.all(np.diff(grid) > 0):
             raise DomainError("tabulated reference grid must be strictly increasing")
         if not np.all(values > 0):
             raise ReferenceFunctionError("tabulated reference values must be positive")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        freeze_fields(self, grid=grid, values=values)
 
     @classmethod
     def flat(cls) -> "ReferenceFunction":
@@ -68,7 +65,8 @@ class ReferenceFunction:
     @property
     def descriptor(self) -> str:
         if self.family is not None:
-            pairs = ",".join(f"{k}={v:g}" for k, v in sorted(self.family.params.items()))
+            pairs = ",".join(f"{k}={v:g}" if float(f"{v:g}") == v else f"{k}={v!r}"
+                             for k, v in sorted(self.family.params.items()))
             return f"{self.family.family}:{pairs}"
         if self.grid is None:
             return "flat"
@@ -90,7 +88,7 @@ class ReferenceFunction:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurpriseFunction:
     """s(theta) = posterior density / reference on the posterior grid; the
     tangential set T = {theta : s(theta) > s*} is derived, not stored."""
@@ -102,11 +100,10 @@ class SurpriseFunction:
     s0_posterior_density: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != self.posterior.grid.shape:
             raise DomainError("surprise values do not match the posterior grid")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        freeze_fields(self, values=values)
         if not 0.0 <= self.relative_null_ratio <= 1.0:
             raise DomainError(
                 f"relative null ratio {self.relative_null_ratio} outside [0, 1]")

@@ -25,6 +25,13 @@ def trapezoid_weights(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
 
 
+def freeze_fields(record, **arrays: np.ndarray) -> None:
+    """Store each array, a record's own checked copy, read-only on the frozen record."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSample:
     """A labeled vector of scalar posterior draws for one parameter.
@@ -39,8 +46,7 @@ class PosteriorSample:
     # [((bandwidth, grid_size), DensityEstimate)] of the latest fit, or [None].
     # One tuple, replaced whole, so a reader never pairs a key with another
     # fit; the copy of the draws in __post_init__ keeps it from going stale.
-    _latest_fit: list = field(default_factory=lambda: [None], init=False,
-                              repr=False, compare=False)
+    _latest_fit: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.draws, dtype=float).ravel()
@@ -52,15 +58,14 @@ class PosteriorSample:
             raise DrawsError(f"draw {bad} is not finite")
         if not self.label:
             raise DrawsError("sample label must be nonempty")
-        arr.setflags(write=False)
-        object.__setattr__(self, "draws", arr)
+        freeze_fields(self, draws=arr)
 
     @property
     def n(self) -> int:
         return int(self.draws.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityEstimate:
     """A density on a strictly increasing grid, with its mode and segment masses."""
 
@@ -69,11 +74,11 @@ class DensityEstimate:
     bandwidth: float
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)
-    segment_mass: np.ndarray = field(init=False, repr=False, compare=False)
+    segment_mass: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        values = np.array(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
             raise DomainError("grid and values must be matching vectors")
         if not np.all(np.diff(grid) > 0):
@@ -87,14 +92,10 @@ class DensityEstimate:
         if not 0.99 <= total <= 1.001:
             raise DomainError(
                 f"density integrates to {total:.6f}, outside [0.99, 1.001]")
-        for arr in (grid, values, segment_mass):
-            arr.setflags(write=False)
+        freeze_fields(self, grid=grid, values=values, segment_mass=segment_mass)
         peak = int(np.argmax(values))
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "mode_location", float(grid[peak]))
         object.__setattr__(self, "mode_density", float(values[peak]))
-        object.__setattr__(self, "segment_mass", segment_mass)
 
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:

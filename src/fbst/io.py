@@ -76,12 +76,16 @@ def _csv_rows(path: Path, delimiter: str = ","):
     """Yield (physical line number, cells) for each nonblank row of a CSV file."""
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
+        last = 0  # where the row before ends, so a bad row is named by its start
         try:
             for row in reader:
                 if row:
                     yield reader.line_num, row
+                last = reader.line_num
         except UnicodeDecodeError as err:
             raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
+        except csv.Error as err:  # an unclosed quote, a NUL byte
+            raise DrawsError(f"{path}:{last + 1}: {err}") from None
 
 def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
     """The column after `skiprows` physical lines in one vectorised pass, or
@@ -154,12 +158,10 @@ def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
         values, label = payload, path.stem
     else:
         raise DrawsError(f"{path}: expected an array or an object of arrays")
-    draws = []
     for i, value in enumerate(values):
         if not isinstance(value, float) or not math.isfinite(value):
             raise DrawsError(f"{path}: element {i} of {label!r} is not a finite number")
-        draws.append(float(value))
-    return draws, label
+    return values, label
 
 def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
     """Read posterior draws per the file spec; finite values only."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PosteriorSample
+from .density import PosteriorSample, freeze_fields
 from .errors import DomainError, SamplerError
 
 # (ev_against, k, h, sev): the four summary blocks printed by the reference
@@ -26,6 +26,7 @@ SEV_FIXTURES = (
     (0.9758885, 8, 7, 0.00002672151),
 )
 
+_INITIAL_STEP = 1.4  # global step factor before adaptation
 _ADAPT_WINDOW = 50
 _CHUNK = 512  # iterations per batch of draws after burn-in
 _ACCEPT_TARGET = (0.2, 0.5)
@@ -44,7 +45,7 @@ class AnalyticPosterior:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TTestData:
     """Two groups of observations for the two-sample t-test model."""
 
@@ -53,13 +54,12 @@ class TTestData:
 
     def __post_init__(self) -> None:
         for name in ("group1", "group2"):
-            arr = np.asarray(getattr(self, name), dtype=float).ravel()
+            arr = np.array(getattr(self, name), dtype=float).ravel()
             if arr.size < 2:
                 raise DomainError(f"{name} needs at least 2 observations")
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} contains non-finite observations")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            freeze_fields(self, **{name: arr})
 
 
 def analytic_evalue_flat(post: AnalyticPosterior, null_value: float) -> float:
@@ -87,7 +87,7 @@ def brute_force_evalue(density_fn, ref_fn, null_value: float,
 
 
 def random_walk_metropolis(log_density, initial, iterations: int, seed: int,
-                           step_scales, initial_step: float = 1.4) -> np.ndarray:
+                           step_scales) -> np.ndarray:
     """Adaptive random-walk Metropolis chain; returns post-burn-in states.
 
     The global step factor adapts during the first 10% of iterations to pull
@@ -111,7 +111,7 @@ def random_walk_metropolis(log_density, initial, iterations: int, seed: int,
     jump_rng, uniform_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for start, stop in zip(bounds, bounds[1:]):
         uniform_rng.standard_normal((stop - start, dim))
-    step = float(initial_step)
+    step = _INITIAL_STEP
     log_p = float(log_density(state))
     kept = np.empty((iterations - burn_in, dim))
     accepted_main = 0

@@ -155,8 +155,8 @@ class DensityFamily:
             raise DomainError(
                 f"family {self.family!r} takes parameters {sorted(expected)}, "
                 f"got {sorted(self.params)}")
-        for name in expected:
-            value = float(self.params[name])
+        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        for name, value in self.params.items():
             if not math.isfinite(value):
                 raise DomainError(f"parameter {name!r} must be finite")
             if name in _POSITIVE_PARAMS and value <= 0:
@@ -164,16 +164,15 @@ class DensityFamily:
 
     @classmethod
     def normal(cls, mean: float, sd: float) -> "DensityFamily":
-        return cls("normal", {"mean": float(mean), "sd": float(sd)})
+        return cls("normal", {"mean": mean, "sd": sd})
 
     @classmethod
     def cauchy(cls, location: float, scale: float) -> "DensityFamily":
-        return cls("cauchy", {"location": float(location), "scale": float(scale)})
+        return cls("cauchy", {"location": location, "scale": scale})
 
     @classmethod
     def student_t(cls, location: float, scale: float, df: float) -> "DensityFamily":
-        return cls("student_t",
-                   {"location": float(location), "scale": float(scale), "df": float(df)})
+        return cls("student_t", {"location": location, "scale": scale, "df": df})
 
 
 def density_eval(fam: DensityFamily, theta):

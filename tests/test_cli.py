@@ -174,6 +174,19 @@ class TestExitCodes:
         assert main(["test", *argv]) == 2
         assert f"fbst: {path}: not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,body", [
+        ("draws.csv", 'delta\n"0.125\n' + "0.125\n" * 30_000),
+        ("table.csv", 'theta,density\n"-30,1.0\n' + "0,1.0\n" * 30_000),
+    ], ids=["draws", "table"])
+    def test_unclosed_quote_is_2(self, capsys, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        argv = [*BASE, "--ref", f"table:{path}"] if name == "table.csv" else \
+            ["--draws", str(path), *BASE[2:]]
+        assert main(["test", *argv]) == 2
+        assert capsys.readouterr().err == \
+            f"fbst: {path}:2: field larger than field limit (131072)\n"
+
     def test_json_integer_past_float_range_is_2(self, capsys, tmp_path):
         path = tmp_path / "draws.json"
         path.write_text('{"delta": [' + "0.5, " * 40 + "1" * 400 + "]}",

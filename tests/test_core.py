@@ -41,6 +41,13 @@ class TestReferenceFunction:
         assert ref.evaluate(0.0) == pytest.approx(1.0 / (math.pi * 0.7071))
         assert ref.descriptor == "cauchy:location=0,scale=0.7071"
 
+    @pytest.mark.parametrize("value", [math.sqrt(0.5), 1.0 / 3.0, 2.5, 1e-7, 0.0])
+    def test_descriptor_reads_back_exactly(self, value):
+        fam = DensityFamily.student_t(location=value, scale=value or 1.0, df=value or 3.0)
+        text = ReferenceFunction.from_family(fam).descriptor
+        pairs = dict(pair.split("=") for pair in text.split(":", 1)[1].split(","))
+        assert {name: float(number) for name, number in pairs.items()} == fam.params
+
     def test_tabulated_interpolates_inside(self):
         ref = ReferenceFunction.from_table([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
         assert ref.evaluate(0.5) == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import sys
@@ -7,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fbst import DensityEstimate, DomainError, DrawsError, PosteriorSample, \
-    fbst, kde_eval, kde_fit, silverman_bandwidth
+from fbst import DensityEstimate, DensityFamily, DomainError, DrawsError, \
+    PosteriorSample, ReferenceFunction, SurpriseFunction, TTestData, \
+    evalue_grid, fbst, kde_eval, kde_fit, silverman_bandwidth
 from fbst import density
 from fbst.density import trapezoid_weights
 
@@ -42,19 +44,6 @@ class TestPosteriorSample:
         with pytest.raises(ValueError):
             sample.draws[0] = 99.0
 
-    def test_owns_its_draws(self):
-        source = np.random.default_rng(41).normal(0.3, 1.0, 2_000)
-        kept = source.copy()
-        sample = PosteriorSample(draws=source, label="x")
-        before = [fbst(sample, 0.0, 1, 0, estimator=e)
-                  for e in ("grid", "monte_carlo")]
-        source *= 3.0
-        source += 1.0
-        assert np.array_equal(sample.draws, kept)
-        assert [fbst(sample, 0.0, 1, 0, estimator=e)
-                for e in ("grid", "monte_carlo")] == before
-
-
     def test_compares_and_hashes_by_identity(self):
         draws = np.arange(40.0)
         a = PosteriorSample(draws=draws, label="x")
@@ -63,6 +52,74 @@ class TestPosteriorSample:
         assert a != b
         assert hash(a) == hash(a)
         assert len({a, b, a}) == 2
+
+
+def _normal_table():
+    grid = np.linspace(-6.0, 6.0, 401)
+    return [grid, np.exp(-0.5 * grid ** 2) / math.sqrt(2.0 * math.pi)]
+
+
+def _surprise(values):
+    """Surprise against the flat reference r = 2 at the null 1.0."""
+    posterior = DensityEstimate(*_normal_table(), bandwidth=0.1)
+    s0 = kde_eval(posterior, 1.0)
+    return SurpriseFunction(posterior=posterior, values=values, s_star=s0 / 2.0,
+                            null_value=1.0, s0_posterior_density=s0)
+
+
+# (build the record from the caller's inputs, make those inputs, what it reports)
+RECORDS = [
+    pytest.param(lambda draws: PosteriorSample(draws=draws, label="x"),
+                 lambda: [np.random.default_rng(41).normal(0.3, 1.0, 2_000)],
+                 lambda s: (s.draws.tolist(), [fbst(s, 0.0, 1, 0, estimator=e)
+                                               for e in ("grid", "monte_carlo")]),
+                 id="PosteriorSample"),
+    pytest.param(lambda grid, values: DensityEstimate(grid=grid, values=values,
+                                                      bandwidth=0.1),
+                 _normal_table,
+                 lambda est: (est.grid.tolist(), est.values.tolist(),
+                              est.segment_mass.tolist(), est.mode_location,
+                              est.mode_density),
+                 id="DensityEstimate"),
+    pytest.param(ReferenceFunction.from_table, _normal_table,
+                 lambda ref: (ref.grid.tolist(), ref.values.tolist(), ref.evaluate(0.5)),
+                 id="ReferenceFunction"),
+    pytest.param(_surprise, lambda: [_normal_table()[1] / 2.0],
+                 lambda s: (s.values.tolist(), s.interval_list, evalue_grid(s)),
+                 id="SurpriseFunction"),
+    pytest.param(TTestData, lambda: [np.array([1.0, 2.0, 3.0]), np.array([4.0, 6.0])],
+                 lambda t: (t.group1.tolist(), t.group2.tolist()), id="TTestData"),
+    pytest.param(lambda params: DensityFamily("cauchy", params),
+                 lambda: [{"location": 0.0, "scale": 0.7071}],
+                 lambda fam: (dict(fam.params),
+                              ReferenceFunction.from_family(fam).descriptor),
+                 id="DensityFamily"),
+]
+
+
+@pytest.mark.parametrize("build,inputs,report", RECORDS)
+def test_owns_its_inputs(build, inputs, report):
+    """A record keeps what it validated: writes to the caller's arrays or dict
+    leave it unchanged, the caller's arrays stay writeable, the record's own
+    are read-only, and records holding arrays compare and hash by identity."""
+    given = inputs()
+    record = build(*given)
+    twin = build(*copy.deepcopy(given))
+    before = report(record)
+    for item in given:
+        if isinstance(item, dict):
+            item.update((key, -2.0) for key in item)
+        else:
+            assert item.flags.writeable
+            item *= 3.0
+            item += 1.0
+    assert report(record) == before
+    arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert not any(array.flags.writeable for array in arrays)
+    if arrays:
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+        assert len({record, twin, record}) == 2
 
 
 class TestSilvermanBandwidth:
