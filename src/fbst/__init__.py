@@ -16,16 +16,15 @@ from .errors import (DimensionError, DomainError, DrawsError, FbstError,
                      PlotError, ReferenceFunctionError, SamplerError)
 from .io import DrawsFileSpec, ResultDocument, format_result, load_draws, \
     write_result
-from .oracle import (AnalyticPosterior, TTestData, analytic_evalue_flat,
-                     brute_force_evalue, random_walk_metropolis,
-                     ttest_metropolis)
+from .oracle import (TTestData, analytic_evalue_flat, brute_force_evalue,
+                     random_walk_metropolis, ttest_metropolis)
 from .special_math import (DensityFamily, chisq_cdf, chisq_pdf, chisq_quantile,
                            density_eval, reg_lower_incomplete_gamma)
 from .viz import PlotSpec, render_fbst_plot
 
 __all__ = [
-    "AnalyticPosterior", "DensityEstimate", "DensityFamily", "DimensionError",
-    "DomainError", "DrawsError", "DrawsFileSpec", "FbstError", "FbstResult",
+    "DensityEstimate", "DensityFamily", "DimensionError", "DomainError",
+    "DrawsError", "DrawsFileSpec", "FbstError", "FbstResult",
     "PlotError", "PlotSpec", "PosteriorSample", "ReferenceFunction",
     "ReferenceFunctionError", "ResultDocument", "SamplerError",
     "SurpriseFunction", "TTestData",

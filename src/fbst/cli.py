@@ -19,7 +19,7 @@ from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
                  load_reference_table, write_result)
-from .oracle import SEV_FIXTURES, AnalyticPosterior, analytic_evalue_flat
+from .oracle import SEV_FIXTURES, analytic_evalue_flat
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
 
@@ -176,7 +176,7 @@ def run_selfcheck() -> int:
     sample = PosteriorSample(draws=rng.standard_normal(200_000) + 1.0,
                              label="theta")
     result = fbst_pipeline(sample, 0.0, 3, 2)[0]
-    expected = analytic_evalue_flat(AnalyticPosterior(mu=1.0, sigma=1.0), 0.0)
+    expected = analytic_evalue_flat(1.0, 1.0, 0.0)
     ok = abs(result.e_value_against - expected) < 0.01
     report(f"oracle N(1,1) vs theta0=0 -> {result.e_value_against:.4f} "
            f"expected {expected:.4f}", ok)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, PosteriorSample,
-                      freeze_fields, kde_eval, kde_fit)
+                      freeze_fields, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -40,12 +40,7 @@ class ReferenceFunction:
             return
         if self.family is not None:
             raise DomainError("reference takes a density family or a table, not both")
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise DomainError("tabulated reference needs matching grid and values")
-        if not np.all(np.diff(grid) > 0):
-            raise DomainError("tabulated reference grid must be strictly increasing")
+        grid, values = tabulated_curve(self.grid, self.values, "tabulated reference")
         if not np.all(values > 0):
             raise ReferenceFunctionError("tabulated reference values must be positive")
         freeze_fields(self, grid=grid, values=values)
@@ -167,10 +162,7 @@ class FbstResult:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} = {value} outside [0, 1]")
-        if not self.dim_null < self.dim_theta:
-            raise DimensionError(
-                f"null dimension {self.dim_null} must be below "
-                f"parameter dimension {self.dim_theta}")
+        _check_dims(self.dim_theta, self.dim_null)
 
 
 def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,

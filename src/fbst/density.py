@@ -32,6 +32,17 @@ def freeze_fields(record, **arrays: np.ndarray) -> None:
         object.__setattr__(record, name, array)
 
 
+def tabulated_curve(grid, values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float copies of a tabulated curve's grid and values."""
+    grid = np.array(grid, dtype=float)
+    values = np.array(values, dtype=float)
+    if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+        raise DomainError(f"{what} needs matching grid and values of at least 2 points")
+    if not np.all(np.diff(grid) > 0):
+        raise DomainError(f"{what} grid must be strictly increasing")
+    return grid, values
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSample:
     """A labeled vector of scalar posterior draws for one parameter.
@@ -77,12 +88,7 @@ class DensityEstimate:
     segment_mass: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise DomainError("grid and values must be matching vectors")
-        if not np.all(np.diff(grid) > 0):
-            raise DomainError("grid must be strictly increasing")
+        grid, values = tabulated_curve(self.grid, self.values, "density")
         if np.any(values < 0):
             raise DomainError("density values must be nonnegative")
         if self.bandwidth <= 0:

@@ -52,16 +52,17 @@ def _is_number(text: str) -> bool:
 def _parse_number(text: str, where: str) -> float:
     try:
         value = float(text)
+        if math.isfinite(value):
+            return value
+        problem = "non-finite value {!r}"
     except ValueError:
-        raise DrawsError(f"{where}: cannot parse {text!r} as a number") from None
-    if not math.isfinite(value):
-        raise DrawsError(f"{where}: non-finite value {text!r}")
-    return value
-
+        problem = "cannot parse {!r} as a number"
+    cell = text if len(text) <= 40 else text[:40] + "..."  # an open quote can hold a file
+    raise DrawsError(f"{where}: " + problem.format(cell))
 
 def _load_plain(path: Path) -> tuple[list[float], str]:
     draws = []
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         # Splitting each physical line (newlines already translated) yields
         # the lines, and line numbers, of splitting the whole text at once.
         lines = (line for physical in handle for line in physical.splitlines())
@@ -73,30 +74,29 @@ def _load_plain(path: Path) -> tuple[list[float], str]:
     return draws, path.stem
 
 def _csv_rows(path: Path, delimiter: str = ","):
-    """Yield (physical line number, cells) for each nonblank row of a CSV file."""
-    with path.open(encoding="utf-8", newline="") as handle:
+    """Yield (first line, last line, cells) of each nonblank row, in physical lines."""
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        last = 0  # where the row before ends, so a bad row is named by its start
+        last = 0  # where the row before ends
         try:
             for row in reader:
                 if row:
-                    yield reader.line_num, row
+                    yield last + 1, reader.line_num, row
                 last = reader.line_num
         except UnicodeDecodeError as err:
             raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
-        except csv.Error as err:  # an unclosed quote, a NUL byte
+        except csv.Error as err:  # a quote open past the field limit, a NUL byte
             raise DrawsError(f"{path}:{last + 1}: {err}") from None
 
 def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
     """The column after `skiprows` physical lines in one vectorised pass, or
-    None where the streaming reader might differ: a quote character, a cell
-    that loadtxt rejects and float() takes (1_000), a non-finite value."""
+    None where the streaming reader might differ: a cell that loadtxt rejects
+    and float() takes (1_000), a non-finite value, an unclosed quote."""
     try:
-        with path.open("rb") as handle, warnings.catch_warnings(record=True):
-            if any(b'"' in block for block in iter(lambda: handle.read(1 << 20), b"")):
-                return None
+        with warnings.catch_warnings(record=True):
             values = np.loadtxt(path, delimiter=delimiter, usecols=index, ndmin=1,
-                                skiprows=skiprows, comments=None, encoding="utf-8")
+                                skiprows=skiprows, comments=None, quotechar='"',
+                                encoding="utf-8-sig")
     except (TypeError, ValueError, UserWarning):
         return None
     return values if np.isfinite(values).all() else None
@@ -104,7 +104,7 @@ def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
 def _load_csv(path: Path, column: str | int | None, delimiter: str) \
         -> tuple[list[float] | np.ndarray, str]:
     rows = _csv_rows(path, delimiter)
-    lineno, header = next(rows, (0, None))
+    start, end, header = next(rows, (0, 0, None))
     if header is None:
         raise DrawsError(f"{path}: file is empty")
     if column is None:
@@ -127,19 +127,19 @@ def _load_csv(path: Path, column: str | int | None, delimiter: str) \
     if _is_number(label):  # headerless single-column files are still readable
         if isinstance(column, str):
             raise DrawsError(f"{path}: named column needs a header row")
-        draws.append(_parse_number(label, f"{path}:{lineno}"))
+        draws.append(_parse_number(label, f"{path}:{start}"))
         label = path.stem
-    values = _loadtxt_column(path, delimiter, index, skiprows=lineno - len(draws))
+    values = _loadtxt_column(path, delimiter, index, start - 1 if draws else end)
     if values is not None:
         return values, label
-    for lineno, row in rows:
+    for lineno, _, row in rows:
         if index >= len(row):
             raise DrawsError(f"{path}:{lineno}: row has no column {index}")
         draws.append(_parse_number(row[index], f"{path}:{lineno}"))
     return draws, label
 
 def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
-    with path.open(encoding="utf-8") as handle:
+    with path.open(encoding="utf-8-sig") as handle:
         try:
             # integers parse as floats, so one past the float range reads as inf
             payload = json.load(handle, parse_int=float)
@@ -187,7 +187,7 @@ def load_reference_table(path_text: str) -> ReferenceFunction:
     if not path.is_file():
         raise DrawsError(f"{path}: reference table not found")
     grid, values = [], []
-    for i, (lineno, row) in enumerate(_csv_rows(path)):
+    for i, (lineno, _, row) in enumerate(_csv_rows(path)):
         if i == 0 and len(row) == 2 and not _is_number(row[0]):
             continue  # header row
         if len(row) != 2:

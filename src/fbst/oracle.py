@@ -33,18 +33,6 @@ _ACCEPT_TARGET = (0.2, 0.5)
 _ACCEPT_LIMITS = (0.1, 0.7)
 
 
-@dataclass(frozen=True)
-class AnalyticPosterior:
-    """A normal posterior N(mu, sigma^2) with known closed-form e-values."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-
-
 @dataclass(frozen=True, eq=False)
 class TTestData:
     """Two groups of observations for the two-sample t-test model."""
@@ -62,9 +50,11 @@ class TTestData:
             freeze_fields(self, **{name: arr})
 
 
-def analytic_evalue_flat(post: AnalyticPosterior, null_value: float) -> float:
-    """Exact flat-reference e-value of a normal posterior: 2 Phi(|z|) - 1."""
-    z = abs(null_value - post.mu) / post.sigma
+def analytic_evalue_flat(mu: float, sigma: float, null_value: float) -> float:
+    """Exact flat-reference e-value of N(mu, sigma^2): 2 Phi(|z|) - 1."""
+    if not sigma > 0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    z = abs(null_value - mu) / sigma
     return math.erf(z / math.sqrt(2.0))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -142,7 +143,7 @@ _POSITIVE_PARAMS = ("sd", "scale", "df")
 
 @dataclass(frozen=True)
 class DensityFamily:
-    """A parametric density usable as a reference function."""
+    """A parametric density usable as a reference; its params are read-only floats."""
 
     family: str
     params: dict[str, float] = field(default_factory=dict)
@@ -155,7 +156,8 @@ class DensityFamily:
             raise DomainError(
                 f"family {self.family!r} takes parameters {sorted(expected)}, "
                 f"got {sorted(self.params)}")
-        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        object.__setattr__(self, "params", MappingProxyType(
+            {k: float(v) for k, v in self.params.items()}))
         for name, value in self.params.items():
             if not math.isfinite(value):
                 raise DomainError(f"parameter {name!r} must be finite")

@@ -174,18 +174,26 @@ class TestExitCodes:
         assert main(["test", *argv]) == 2
         assert f"fbst: {path}: not valid UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name,body", [
-        ("draws.csv", 'delta\n"0.125\n' + "0.125\n" * 30_000),
-        ("table.csv", 'theta,density\n"-30,1.0\n' + "0,1.0\n" * 30_000),
-    ], ids=["draws", "table"])
-    def test_unclosed_quote_is_2(self, capsys, tmp_path, name, body):
+    # under the field limit the quote holds the rest of the file in one cell:
+    # the row is named by the line where it starts, and the cell is cut short
+    @pytest.mark.parametrize("name,body,reason", [
+        ("draws.csv", 'delta\n"0.125\n' + "0.125\n" * 30_000,
+         "field larger than field limit (131072)"),
+        ("table.csv", 'theta,density\n"-30,1.0\n' + "0,1.0\n" * 30_000,
+         "field larger than field limit (131072)"),
+        ("draws.csv", 'delta\n"0.5\n' + "0.5\n" * 30_000,
+         "cannot parse '" + "0.5\\n" * 10 + "...' as a number"),
+        ("table.csv", 'theta,density\n"-30,1.0\n' + "0,1.0\n" * 10_000,
+         "expected two columns"),
+    ], ids=["draws", "table", "draws_under_limit", "table_under_limit"])
+    def test_unclosed_quote_is_2(self, capsys, tmp_path, name, body, reason):
         path = tmp_path / name
         path.write_text(body, encoding="utf-8")
         argv = [*BASE, "--ref", f"table:{path}"] if name == "table.csv" else \
             ["--draws", str(path), *BASE[2:]]
         assert main(["test", *argv]) == 2
-        assert capsys.readouterr().err == \
-            f"fbst: {path}:2: field larger than field limit (131072)\n"
+        err = capsys.readouterr().err
+        assert err == f"fbst: {path}:2: {reason}\n" and len(err.encode()) < 200
 
     def test_json_integer_past_float_range_is_2(self, capsys, tmp_path):
         path = tmp_path / "draws.json"

@@ -114,6 +114,10 @@ def test_owns_its_inputs(build, inputs, report):
             item *= 3.0
             item += 1.0
     assert report(record) == before
+    if isinstance(record, DensityFamily):  # read-only params, compared by value
+        with pytest.raises(TypeError):
+            record.params["scale"] = -2.0
+        assert record == twin
     arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
     assert not any(array.flags.writeable for array in arrays)
     if arrays:

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbst import (DrawsError, DrawsFileSpec, PosteriorSample, ResultDocument,
-                  __version__, fbst_pipeline, format_result, load_draws,
-                  write_result)
+from fbst import (DimensionError, DrawsError, DrawsFileSpec, PosteriorSample,
+                  ResultDocument, __version__, fbst_pipeline, format_result,
+                  load_draws, write_result)
 import fbst.io
 from fbst.io import load_reference_table
 
@@ -256,10 +256,23 @@ def _read_both_ways(monkeypatch, spec):
 #        whether the one-pass parse is taken)
 CSV_CASES = {
     "plain": (_csv_text(), "delta", ",", True),
-    "quoted_cell": (_with_row(3, '3,"0.25"'), "delta", ",", False),
-    "quoted_newline": (_with_row(5, '"five\nlines",0.75'), "delta", ",", False),
+    "quoted_cell": (_with_row(3, '3,"0.25"'), "delta", ",", True),
+    "quoted_newline": (_with_row(5, '"five\nlines",0.75'), "delta", ",", True),
     "quoted_delimiter": (_csv_text(header="a,b,delta", rows=[
-        f'"p,{i}",{i},{i / 8}' for i in range(32)]), "delta", ",", False),
+        f'"p,{i}",{i},{i / 8}' for i in range(32)]), "delta", ",", True),
+    "r_style": (_csv_text(header='"","delta"', rows=[
+        f'"{line.replace(",", chr(34) + ",", 1)}'
+        for line in _csv_text(header=None).splitlines()]), "delta", ",", True),
+    "text_after_quote": (_with_row(3, '3,"0.25"5'), "delta", ",", True),
+    "quote_mid_field": (_with_row(3, '3,0."25"'), "delta", ",", False),
+    "space_before_quote": (_with_row(3, '3, "0.25"'), "delta", ",", False),
+    "doubled_quote": (_with_row(3, '"a ""3"", b",0.25'), "delta", ",", True),
+    "empty_quoted_cell": (_with_row(3, '3,""'), "delta", ",", False),
+    "two_line_header": (_csv_text(header='"step\nnumber",delta'), "delta", ",", True),
+    "unclosed_quote": (_with_row(5, '5,"0.5'), "delta", ",", False),
+    "bom": ("\ufeff" + _csv_text(), "delta", ",", True),
+    "bom_headerless": ("\ufeff" + _csv_text(header=None, rows=[
+        f"{i / 7!r}" for i in range(32)]), None, ",", True),
     "underscore": (_with_row(7, "7,1_000"), "delta", ",", False),
     "unicode_digits": (_with_row(7, "7,\u0661\u0662"), "delta", ",", False),
     "lone_cr": (_csv_text(end="\r"), "delta", ",", True),
@@ -373,6 +386,41 @@ class TestLoadReferenceTable:
             load_reference_table(path)
 
 
+_BOM_DRAWS = "\n".join(repr(float(x)) for x in
+                       np.random.default_rng(8).normal(0.3, 1.0, 40))
+
+
+def _drawn(path, format, column=None):
+    sample = load_draws(DrawsFileSpec(path, format, column))
+    return sample.label, sample.draws.tolist()
+
+
+# name: (file name, file text, what loading it reports)
+BOM_FILES = {
+    "plain": ("d.txt", _BOM_DRAWS, lambda path: _drawn(path, "plain")),
+    "csv_headerless": ("d.csv", _BOM_DRAWS, lambda path: _drawn(path, "csv")),
+    "csv_header": ("d.csv", "delta\n" + _BOM_DRAWS,
+                   lambda path: _drawn(path, "csv", "delta")),
+    "json": ("d.json", '{"delta": [' + _BOM_DRAWS.replace("\n", ", ") + "]}",
+             lambda path: _drawn(path, "json", "delta")),
+    "table": ("ref.csv", "\n".join(f"{i},1.0" for i in range(40)),
+              lambda path: load_reference_table(path).grid.tolist()),
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_FILES))
+def test_byte_order_mark_is_skipped(tmp_path, name):
+    """A UTF-8 byte-order mark, as Excel and PowerShell write, changes nothing."""
+    file_name, text, load = BOM_FILES[name]
+    read = []
+    for folder, bom in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / folder / file_name
+        path.parent.mkdir()
+        path.write_text(bom + text + "\n", encoding="utf-8")
+        read.append(load(str(path)))
+    assert read[0] == read[1]
+
+
 class TestResultDocument:
     def test_from_result_copies_fields(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
@@ -410,6 +458,12 @@ class TestResultDocument:
         del payload["sev"]
         del payload["timestamp"]
         with pytest.raises(DrawsError, match="missing fields.*sev.*timestamp"):
+            ResultDocument.from_dict(payload)
+
+    @pytest.mark.parametrize("dim_theta,dim_null", [(0, -1), (3, -1), (2, 2)])
+    def test_from_dict_rejects_impossible_dimensions(self, dim_theta, dim_null):
+        payload = {**_doc().to_dict(), "dim_theta": dim_theta, "dim_null": dim_null}
+        with pytest.raises(DimensionError):
             ResultDocument.from_dict(payload)
 
     def test_json_round_trip_many(self):

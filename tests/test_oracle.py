@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbst import (AnalyticPosterior, DomainError, SamplerError, TTestData,
-                  analytic_evalue_flat, brute_force_evalue, fbst,
-                  random_walk_metropolis, ttest_metropolis)
+from fbst import (DomainError, SamplerError, TTestData, analytic_evalue_flat,
+                  brute_force_evalue, fbst, random_walk_metropolis,
+                  ttest_metropolis)
 
 PRIOR_SCALE = math.sqrt(2.0) / 2.0
 
@@ -32,21 +32,20 @@ def flat(x):
 
 class TestAnalyticEvalue:
     def test_null_at_mean(self):
-        assert analytic_evalue_flat(AnalyticPosterior(mu=1.0, sigma=2.0), 1.0) == 0.0
+        assert analytic_evalue_flat(1.0, 2.0, 1.0) == 0.0
 
     def test_one_sigma(self):
-        post = AnalyticPosterior(mu=0.0, sigma=1.0)
-        assert analytic_evalue_flat(post, 1.0) \
+        assert analytic_evalue_flat(0.0, 1.0, 1.0) \
             == pytest.approx(0.6826894921370859, abs=1e-12)
 
     def test_ninety_five_percent(self):
-        post = AnalyticPosterior(mu=2.0, sigma=0.5)
-        assert analytic_evalue_flat(post, 2.0 + 1.96 * 0.5) \
+        assert analytic_evalue_flat(2.0, 0.5, 2.0 + 1.96 * 0.5) \
             == pytest.approx(0.95, abs=1e-4)
 
     def test_sigma_validation(self):
-        with pytest.raises(DomainError):
-            AnalyticPosterior(mu=0.0, sigma=0.0)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="sigma must be positive"):
+                analytic_evalue_flat(0.0, sigma, 1.0)
 
 
 class TestBruteForceEvalue:
@@ -70,8 +69,7 @@ class TestBruteForceEvalue:
     def test_agrees_with_analytic_oracle(self, mu, sigma, null):
         value = brute_force_evalue(normal_pdf(mu, sigma), flat, null,
                                    mu - 12 * sigma, mu + 12 * sigma, 400_000)
-        expected = analytic_evalue_flat(AnalyticPosterior(mu=mu, sigma=sigma),
-                                        null)
+        expected = analytic_evalue_flat(mu, sigma, null)
         assert value == pytest.approx(expected, abs=1e-4)
 
     def test_step_floor(self):
