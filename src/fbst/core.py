@@ -4,13 +4,15 @@ Pipeline for one test: kde_fit -> surprise_fit -> evalue_grid or evalue_mc
 -> pvalue_evalue -> standardized_evalue.  The tangential set is derived from
 the surprise function, not a stage.  The `fbst` function orchestrates the
 whole chain.  Draws enter only as a PosteriorSample, which keeps its latest
-fit, so tests of many nulls and references on one sample fit the KDE once.
+fit, and the fit keeps the surprise tables of its latest references, so
+tests of many nulls and references on one sample fit and tabulate once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
 ESTIMATORS = ("grid", "monte_carlo")
 _MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
+_KEPT_TABLES = 4  # surprise tables a fit keeps: flat and user references, with room
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +49,9 @@ class ReferenceFunction:
         freeze_fields(self, grid=grid, values=values)
 
     @classmethod
+    @cache
     def flat(cls) -> "ReferenceFunction":
+        """The flat reference: one shared instance, so a fit tabulates it once."""
         return cls()
 
     @classmethod
@@ -57,7 +62,7 @@ class ReferenceFunction:
     def from_table(cls, grid, values, source: str = "") -> "ReferenceFunction":
         return cls(grid=grid, values=values, source=source)
 
-    @property
+    @cached_property
     def descriptor(self) -> str:
         if self.family is not None:
             pairs = ",".join(f"{k}={v:g}" if float(f"{v:g}") == v else f"{k}={v!r}"
@@ -167,15 +172,22 @@ class FbstResult:
 
 def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
                  null_value: float) -> SurpriseFunction:
-    """Tabulate s(theta) on the posterior grid and evaluate it at the null."""
+    """Tabulate s(theta) on the posterior grid and evaluate it at the null.
+    No null enters the table, so the fit keeps it for its latest few
+    references, matched by identity (each reference is immutable)."""
     if not math.isfinite(null_value):
         raise DomainError(f"null value must be finite, got {null_value}")
-    ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
-    if np.any(ref_values <= 0):
-        where = float(posterior.grid[int(np.argmin(ref_values))])
-        raise ReferenceFunctionError(
-            f"reference function vanishes on the grid near {where:g}")
-    values = posterior.values / ref_values
+    kept = posterior._surprise_tables[0]
+    values = next((table for held, table in kept if held is ref), None)
+    if values is None:
+        ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
+        if np.any(ref_values <= 0):
+            where = float(posterior.grid[int(np.argmin(ref_values))])
+            raise ReferenceFunctionError(
+                f"reference function vanishes on the grid near {where:g}")
+        values = posterior.values / ref_values
+        values.setflags(write=False)
+        posterior._surprise_tables[0] = ((ref, values),) + kept[:_KEPT_TABLES - 1]
     s0_density = kde_eval(posterior, null_value)
     r0 = float(ref.evaluate(null_value))
     if r0 <= 0:

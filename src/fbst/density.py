@@ -14,6 +14,10 @@ from .errors import DomainError, DrawsError
 MIN_SAMPLE_SIZE = 30
 MIN_GRID_SIZE = 128
 DEFAULT_GRID_SIZE = 1024
+# A fit and its tests hold about ten arrays of grid_size floats at their peak
+# (the grid, its scaled copy, the sums, the density, its segment masses, the
+# kept surprise tables, a test's own): at 2^20 nodes that peak is 80 MiB.
+MAX_GRID_SIZE = 1 << 20
 
 _BLOCK_TERMS = 1 << 16  # kernel terms per block: 0.5 MB of doubles
 _RADIUS = 9.0  # scaled distance past which every term is capped (9^2 > 80)
@@ -86,6 +90,9 @@ class DensityEstimate:
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)
     segment_mass: np.ndarray = field(init=False, repr=False)
+    # [((reference, p / r), ...)], newest first, kept by `core.surprise_fit`:
+    # one tuple, replaced whole, as in PosteriorSample._latest_fit.
+    _surprise_tables: list = field(default_factory=lambda: [()], init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid, values = tabulated_curve(self.grid, self.values, "density")
@@ -129,8 +136,9 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if latest is not None and latest[0] == key:
         return latest[1]
     draws = sample.draws
-    if grid_size < MIN_GRID_SIZE:
-        raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
+    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be between {MIN_GRID_SIZE} and "
+                          f"{MAX_GRID_SIZE}, got {grid_size}")
     if bandwidth is None:
         h = silverman_bandwidth(sample)
     else:

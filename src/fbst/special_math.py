@@ -164,6 +164,9 @@ class DensityFamily:
             if name in _POSITIVE_PARAMS and value <= 0:
                 raise DomainError(f"parameter {name!r} must be positive, got {value}")
 
+    def __reduce__(self):  # a mappingproxy does not pickle; rebuild from a dict
+        return type(self), (self.family, dict(self.params))
+
     @classmethod
     def normal(cls, mean: float, sd: float) -> "DensityFamily":
         return cls("normal", {"mean": mean, "sd": sd})
@@ -178,21 +181,23 @@ class DensityFamily:
 
 
 def density_eval(fam: DensityFamily, theta):
-    """Density of the family at theta (scalar or array)."""
+    """Density of the family at theta (scalar or array).  A z past the float
+    range gives a density of 0, which the caller reports, not a warning."""
     theta = np.asarray(theta, dtype=float)
-    if fam.family == "normal":
-        mean, sd = fam.params["mean"], fam.params["sd"]
-        z = (theta - mean) / sd
-        out = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    elif fam.family == "cauchy":
-        loc, scale = fam.params["location"], fam.params["scale"]
-        z = (theta - loc) / scale
-        out = 1.0 / (math.pi * scale * (1.0 + z * z))
-    else:
-        loc, scale, df = (fam.params["location"], fam.params["scale"],
-                          fam.params["df"])
-        z = (theta - loc) / scale
-        log_coeff = (math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
-                     - 0.5 * math.log(df * math.pi) - math.log(scale))
-        out = np.exp(log_coeff - (df + 1.0) / 2.0 * np.log1p(z * z / df))
+    with np.errstate(over="ignore"):
+        if fam.family == "normal":
+            mean, sd = fam.params["mean"], fam.params["sd"]
+            z = (theta - mean) / sd
+            out = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+        elif fam.family == "cauchy":
+            loc, scale = fam.params["location"], fam.params["scale"]
+            z = (theta - loc) / scale
+            out = 1.0 / (math.pi * scale * (1.0 + z * z))
+        else:
+            loc, scale, df = (fam.params["location"], fam.params["scale"],
+                              fam.params["df"])
+            z = (theta - loc) / scale
+            log_coeff = (math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
+                         - 0.5 * math.log(df * math.pi) - math.log(scale))
+            out = np.exp(log_coeff - (df + 1.0) / 2.0 * np.log1p(z * z / df))
     return out if out.ndim else float(out)

@@ -212,6 +212,21 @@ class TestExitCodes:
         assert captured.err == f"fbst: SOURCE_DATE_EPOCH={epoch!r} is not a Unix " \
             "time in whole seconds\n"
 
+    def test_grid_size_past_the_cap_is_3(self, capsys):
+        assert main(["test", *BASE, "--grid-size", "100000000000"]) == 3
+        assert capsys.readouterr().err == \
+            "fbst: grid_size must be between 128 and 1048576, got 100000000000\n"
+
+    @pytest.mark.parametrize("ref", ["normal:mean=0,sd=1e-300",
+                                     "cauchy:location=0,scale=1e-300",
+                                     "student_t:location=0,scale=1e-300,df=3"])
+    def test_tiny_scale_reference_is_one_line(self, ref):
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "fbst", "test",
+                               *BASE, "--ref", ref], capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("fbst: reference function vanishes on the grid")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
     def test_infinite_bandwidth_is_3(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

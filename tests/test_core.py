@@ -1,8 +1,15 @@
+import copy
 import math
+import pickle
+import random
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from fbst import core
 from fbst import (DensityEstimate, DensityFamily, DimensionError, DomainError,
                   FbstResult, PosteriorSample, ReferenceFunction,
                   ReferenceFunctionError, SurpriseFunction, chisq_cdf,
@@ -125,6 +132,159 @@ class TestSurpriseFit:
         with pytest.raises(DomainError, match="do not match the posterior grid"):
             SurpriseFunction(posterior=est, values=est.values[:-1], s_star=0.1,
                              null_value=0.0, s0_posterior_density=0.1)
+
+
+TINY_SCALE_FAMILIES = [DensityFamily.normal(0.0, 1e-300),
+                       DensityFamily.cauchy(0.0, 1e-300),
+                       DensityFamily.student_t(0.0, 1e-300, 3.0)]
+
+
+def _references():
+    """Every kind of reference, each a table cover of a N(1, 1) sample's grid."""
+    grid = np.linspace(-8.0, 10.0, 2001)
+    return {
+        "flat": ReferenceFunction.flat(),
+        "normal": ReferenceFunction.from_family(DensityFamily.normal(0.0, 2.5)),
+        "cauchy": ReferenceFunction.from_family(DensityFamily.cauchy(0.0, PRIOR_SCALE)),
+        "student_t": ReferenceFunction.from_family(DensityFamily.student_t(0.0, 1.0, 3.0)),
+        "table": ReferenceFunction.from_table(grid, np.exp(-0.5 * (grid / 2.5) ** 2),
+                                              "r.csv"),
+    }
+
+
+class TestSurpriseTables:
+    """A fit keeps p / r per reference; tests on it match fresh fits bit for bit."""
+
+    NULLS = (-0.4, 0.3, 1.0, 1.8, 2.9)
+
+    @pytest.mark.parametrize("estimator", ["grid", "monte_carlo"])
+    @pytest.mark.parametrize("name", list(_references()))
+    def test_kept_fit_matches_fresh_computation(self, name, estimator):
+        ref = _references()[name]
+        sample = normal_sample(n=5_000)
+        est = kde_fit(sample)
+        for _ in range(2):  # the second pass reads the kept table
+            for null in self.NULLS:
+                kept = fbst(sample, null, 3, 2, reference=ref, estimator=estimator)
+                fresh = fbst(normal_sample(n=5_000), null, 3, 2, reference=ref,
+                             estimator=estimator)
+                assert kept == fresh
+                s = surprise_fit(est, ref, null)
+                assert np.array_equal(s.values, est.values / ref.evaluate(est.grid))
+        assert [held for held, _ in est._surprise_tables[0]] == [ref]
+
+    def test_default_reference_shares_the_flat_table(self):
+        sample = normal_sample(n=5_000)
+        fbst(sample, 0.3, 3, 2)
+        fbst(sample, 0.7, 3, 2, reference=ReferenceFunction.flat())
+        assert [ref for ref, _ in kde_fit(sample)._surprise_tables[0]] == \
+            [ReferenceFunction.flat()]
+
+    def test_flat_is_one_instance_and_descriptors_are_kept(self):
+        assert ReferenceFunction.flat() is ReferenceFunction.flat()
+        for ref in _references().values():
+            assert ref.descriptor is ref.descriptor
+
+    def test_tables_with_one_source_keep_their_own_values(self):
+        grid = np.linspace(-8.0, 10.0, 2001)
+        wide, narrow = (ReferenceFunction.from_table(
+            grid, np.exp(-0.5 * (grid / sd) ** 2), "r.csv") for sd in (2.5, 1.5))
+        assert wide.descriptor == narrow.descriptor
+        sample = normal_sample(n=5_000)
+        kept = [fbst(sample, 0.2, 3, 2, reference=ref)
+                for ref in (wide, narrow, wide, narrow)]
+        fresh = [fbst(normal_sample(n=5_000), 0.2, 3, 2, reference=ref)
+                 for ref in (wide, narrow)]
+        assert kept[0].e_value_against != kept[1].e_value_against
+        assert kept == fresh * 2
+
+    def test_vanishing_reference_raises_each_call_and_stores_nothing(self):
+        sample = normal_sample(n=5_000)
+        fbst(sample, 0.5, 3, 2)
+        est = kde_fit(sample)
+        kept = est._surprise_tables[0]
+        ref = ReferenceFunction.from_family(DensityFamily.normal(0.0, 0.04))
+        for estimator in ("grid", "monte_carlo", "grid"):
+            with pytest.raises(ReferenceFunctionError, match="vanishes on the grid"):
+                fbst(sample, 0.5, 3, 2, reference=ref, estimator=estimator)
+            assert est._surprise_tables[0] is kept
+
+    def test_keeps_at_most_the_bound_newest_first(self):
+        est = kde_fit(normal_sample(n=2_000))
+        refs = [ReferenceFunction.from_family(DensityFamily.normal(1.0, 2.0 + i / 1000))
+                for i in range(1_000)]
+        for ref in refs:
+            surprise_fit(est, ref, 0.5)
+        assert [ref for ref, _ in est._surprise_tables[0]] == \
+            refs[::-1][:core._KEPT_TABLES]
+        again = surprise_fit(est, refs[0], 0.5)  # dropped, so tabulated anew
+        assert np.array_equal(again.values, est.values / refs[0].evaluate(est.grid))
+        assert len(est._surprise_tables[0]) == core._KEPT_TABLES
+
+    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                           copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_tested_sample_survives_a_round_trip(self, roundtrip):
+        refs = _references()
+        sample = normal_sample(n=5_000)
+        calls = [(null, name, estimator) for null in self.NULLS
+                 for name in ("cauchy", "table", "student_t")
+                 for estimator in ("grid", "monte_carlo")]
+        before = [fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
+                  for null, name, estimator in calls]
+        loaded = roundtrip(sample)
+        est = kde_fit(loaded)
+        assert est is loaded._latest_fit[0][1]
+        held = {ref.descriptor: ref for ref, _ in est._surprise_tables[0]}
+        assert sorted(held) == sorted(refs[name].descriptor
+                                      for name in ("cauchy", "table", "student_t"))
+        for own in (lambda name: held[refs[name].descriptor], refs.__getitem__):
+            assert [fbst(loaded, null, 3, 2, reference=own(name), estimator=estimator)
+                    for null, name, estimator in calls] == before
+
+    def test_threads_on_one_sample_agree_with_a_serial_run(self):
+        refs = list(_references().values())  # one more than a fit keeps
+        calls = [(null, ref, estimator) for null in self.NULLS[:3] for ref in refs
+                 for estimator in ("grid", "monte_carlo")]
+        serial_sample = normal_sample(n=5_000)
+        serial = [fbst(serial_sample, null, 3, 2, reference=ref, estimator=estimator)
+                  for null, ref, estimator in calls]
+        shared = normal_sample(n=5_000)
+        mismatches, errors = [], []
+
+        def run(seed):
+            order = list(range(len(calls)))
+            random.Random(seed).shuffle(order)
+            try:
+                for _ in range(3):
+                    for i in order:
+                        null, ref, estimator = calls[i]
+                        got = fbst(shared, null, 3, 2, reference=ref, estimator=estimator)
+                        if got != serial[i]:
+                            mismatches.append(i)
+            except Exception as err:  # reported below, on the test's thread
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert len(kde_fit(shared)._surprise_tables[0]) <= core._KEPT_TABLES
+
+    @pytest.mark.parametrize("fam", TINY_SCALE_FAMILIES, ids=lambda f: f.family)
+    def test_tiny_scale_reference_names_the_cause(self, fam):
+        ref = ReferenceFunction.from_family(fam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReferenceFunctionError, match="vanishes on the grid"):
+                fbst(normal_sample(n=5_000), 0.5, 3, 2, reference=ref)
 
 
 class TestTangentialRegion:

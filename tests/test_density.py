@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -212,6 +213,19 @@ class TestKdeFit:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             kde_fit(sample_of(np.arange(50.0)), grid_size=64)
+
+    @pytest.mark.parametrize("grid_size", [density.MAX_GRID_SIZE + 1, 10 ** 11])
+    def test_grid_size_cap_allocates_nothing(self, grid_size):
+        sample = sample_of(np.arange(50.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"between 128 and 1048576, got {grid_size}$"):
+                kde_fit(sample, grid_size=grid_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one grid at the cap would take 8 MiB
+        assert sample._latest_fit == [None]
 
     def test_bad_bandwidth(self):
         with warnings.catch_warnings():

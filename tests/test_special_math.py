@@ -1,10 +1,20 @@
+import copy
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from fbst import DensityFamily, DomainError, chisq_cdf, chisq_pdf, \
-    chisq_quantile, density_eval, reg_lower_incomplete_gamma, special_math
+from fbst import DensityFamily, DomainError, ReferenceFunction, chisq_cdf, \
+    chisq_pdf, chisq_quantile, density_eval, reg_lower_incomplete_gamma, \
+    special_math
+
+FAMILIES = [DensityFamily.normal(0.3, 1.7), DensityFamily.cauchy(-1.0, 0.7071),
+            DensityFamily.student_t(0.0, 1.0, 7.0)]
+ROUND_TRIPS = [pytest.param(lambda x: pickle.loads(pickle.dumps(x)), id="pickle"),
+               pytest.param(copy.deepcopy, id="deepcopy"),
+               pytest.param(copy.copy, id="copy")]
 
 # frozen against a 50-digit arbitrary-precision series evaluation
 GAMMA_P_PINS = [
@@ -207,11 +217,7 @@ class TestDensityFamily:
         vec = density_eval(fam, xs)
         assert vec == pytest.approx([density_eval(fam, float(x)) for x in xs])
 
-    @pytest.mark.parametrize("fam", [
-        DensityFamily.normal(0.3, 1.7),
-        DensityFamily.cauchy(-1.0, 0.7071),
-        DensityFamily.student_t(0.0, 1.0, 7.0),
-    ])
+    @pytest.mark.parametrize("fam", FAMILIES)
     def test_normalization(self, fam):
         scale = fam.params.get("sd") or fam.params.get("scale")
         center = fam.params.get("mean") or fam.params.get("location") or 0.0
@@ -235,3 +241,29 @@ class TestDensityFamily:
             DensityFamily.student_t(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             DensityFamily.cauchy(math.nan, 1.0)
+
+    @pytest.mark.parametrize("roundtrip", ROUND_TRIPS)
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.family)
+    def test_round_trip_keeps_read_only_equal_params(self, fam, roundtrip):
+        twin = roundtrip(fam)
+        assert twin == fam and dict(twin.params) == dict(fam.params)
+        with pytest.raises(TypeError):
+            twin.params["df"] = -2.0
+        ref = ReferenceFunction.from_family(fam)
+        ref_twin = roundtrip(ref)
+        assert ref_twin.family == fam and ref_twin.descriptor == ref.descriptor
+        xs = np.linspace(-5.0, 5.0, 11)
+        assert np.array_equal(ref_twin.evaluate(xs), density_eval(fam, xs))
+
+    @pytest.mark.parametrize("fam", [DensityFamily.normal(0.0, 1e-300),
+                                     DensityFamily.cauchy(0.0, 1e-300),
+                                     DensityFamily.student_t(0.0, 1e-300, 3.0)],
+                             ids=lambda f: f.family)
+    def test_tiny_scale_is_zero_off_center_without_warning(self, fam):
+        xs = np.linspace(-2.0, 2.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = density_eval(fam, xs)
+            center = density_eval(fam, 0.0)
+        assert np.all(np.delete(values, 4) == 0.0)
+        assert values[4] == center and 0.0 < center < math.inf
