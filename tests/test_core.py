@@ -140,7 +140,7 @@ TINY_SCALE_FAMILIES = [DensityFamily.normal(0.0, 1e-300),
 
 
 def _references():
-    """Every kind of reference, each a table cover of a N(1, 1) sample's grid."""
+    """One reference of each kind; the table covers a N(1, 1) sample's grid."""
     grid = np.linspace(-8.0, 10.0, 2001)
     return {
         "flat": ReferenceFunction.flat(),
