@@ -16,8 +16,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .density import (DEFAULT_GRID_SIZE, DensityEstimate, PosteriorSample,
-                      freeze_fields, kde_eval, kde_fit, tabulated_curve)
+from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
+                      kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -27,7 +27,7 @@ _KEPT_TABLES = 4  # surprise tables a fit keeps: flat and user references, with 
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceFunction:
+class ReferenceFunction(Frozen):
     """The denominator r(theta) of the surprise function: a density family,
     a table interpolated on its grid, or flat (r = 1) when given neither."""
 
@@ -46,7 +46,11 @@ class ReferenceFunction:
         grid, values = tabulated_curve(self.grid, self.values, "tabulated reference")
         if not np.all(values > 0):
             raise ReferenceFunctionError("tabulated reference values must be positive")
-        freeze_fields(self, grid=grid, values=values)
+        self._freeze(grid=grid, values=values)
+
+    def __reduce_ex__(self, protocol):  # a loaded flat reference is the shared one
+        flat = self.family is None and self.grid is None
+        return (ReferenceFunction.flat, ()) if flat else super().__reduce_ex__(protocol)
 
     @classmethod
     @cache
@@ -89,7 +93,7 @@ class ReferenceFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class SurpriseFunction:
+class SurpriseFunction(Frozen):
     """s(theta) = posterior density / reference on the posterior grid; the
     tangential set T = {theta : s(theta) > s*} is derived, not stored."""
 
@@ -103,7 +107,7 @@ class SurpriseFunction:
         values = np.array(self.values, dtype=float)
         if values.shape != self.posterior.grid.shape:
             raise DomainError("surprise values do not match the posterior grid")
-        freeze_fields(self, values=values)
+        self._freeze(values=values)
         if not 0.0 <= self.relative_null_ratio <= 1.0:
             raise DomainError(
                 f"relative null ratio {self.relative_null_ratio} outside [0, 1]")
@@ -177,7 +181,7 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
     references, matched by identity (each reference is immutable)."""
     if not math.isfinite(null_value):
         raise DomainError(f"null value must be finite, got {null_value}")
-    kept = posterior._surprise_tables[0]
+    kept = posterior._surprise_tables
     values = next((table for held, table in kept if held is ref), None)
     if values is None:
         ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
@@ -186,8 +190,7 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
             raise ReferenceFunctionError(
                 f"reference function vanishes on the grid near {where:g}")
         values = posterior.values / ref_values
-        values.setflags(write=False)
-        posterior._surprise_tables[0] = ((ref, values),) + kept[:_KEPT_TABLES - 1]
+        posterior._freeze(_surprise_tables=((ref, values),) + kept[:_KEPT_TABLES - 1])
     s0_density = kde_eval(posterior, null_value)
     r0 = float(ref.evaluate(null_value))
     if r0 <= 0:
@@ -205,8 +208,7 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
 def evalue_grid(s: SurpriseFunction) -> float:
     """Trapezoid posterior mass of the member segments, normalized to the grid."""
     mass = float(s.posterior.segment_mass[s.member_segments].sum())
-    total = float(s.posterior.segment_mass.sum())
-    return min(1.0, max(0.0, mass / total))
+    return min(1.0, max(0.0, mass / s.posterior.total_mass))
 
 
 def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:

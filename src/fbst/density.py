@@ -29,11 +29,21 @@ def trapezoid_weights(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
 
 
-def freeze_fields(record, **arrays: np.ndarray) -> None:
-    """Store each array, a record's own checked copy, read-only on the frozen record."""
-    for name, array in arrays.items():
-        array.setflags(write=False)
-        object.__setattr__(record, name, array)
+class Frozen:
+    """Base of the records: arrays in their fields, tuples included, stay read-only."""
+
+    def _freeze(self, **fields) -> None:  # set each field whole, its arrays read-only
+        stack = list(fields.values())
+        while stack:
+            value = stack.pop()
+            if isinstance(value, tuple):
+                stack.extend(value)
+            elif isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(fields)
+
+    def __setstate__(self, state: dict) -> None:  # as loaded by pickle, copy or deepcopy
+        self._freeze(**state)
 
 
 def tabulated_curve(grid, values, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +58,7 @@ def tabulated_curve(grid, values, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class PosteriorSample:
+class PosteriorSample(Frozen):
     """A labeled vector of scalar posterior draws for one parameter.
 
     The sample keeps a read-only copy of its draws and its latest density
@@ -58,10 +68,10 @@ class PosteriorSample:
 
     draws: np.ndarray
     label: str
-    # [((bandwidth, grid_size), DensityEstimate)] of the latest fit, or [None].
+    # ((bandwidth, grid_size), DensityEstimate) of the latest fit, or None.
     # One tuple, replaced whole, so a reader never pairs a key with another
-    # fit; the copy of the draws in __post_init__ keeps it from going stale.
-    _latest_fit: list = field(default_factory=lambda: [None], init=False, repr=False)
+    # fit; the read-only copy of the draws keeps it from going stale.
+    _latest_fit: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.draws, dtype=float).ravel()
@@ -73,7 +83,7 @@ class PosteriorSample:
             raise DrawsError(f"draw {bad} is not finite")
         if not self.label:
             raise DrawsError("sample label must be nonempty")
-        freeze_fields(self, draws=arr)
+        self._freeze(draws=arr)
 
     @property
     def n(self) -> int:
@@ -81,7 +91,7 @@ class PosteriorSample:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityEstimate:
+class DensityEstimate(Frozen):
     """A density on a strictly increasing grid, with its mode and segment masses."""
 
     grid: np.ndarray
@@ -90,9 +100,10 @@ class DensityEstimate:
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)
     segment_mass: np.ndarray = field(init=False, repr=False)
-    # [((reference, p / r), ...)], newest first, kept by `core.surprise_fit`:
+    total_mass: float = field(init=False, repr=False)
+    # ((reference, p / r), ...), newest first, kept by `core.surprise_fit`:
     # one tuple, replaced whole, as in PosteriorSample._latest_fit.
-    _surprise_tables: list = field(default_factory=lambda: [()], init=False, repr=False)
+    _surprise_tables: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid, values = tabulated_curve(self.grid, self.values, "density")
@@ -100,15 +111,14 @@ class DensityEstimate:
             raise DomainError("density values must be nonnegative")
         if self.bandwidth <= 0:
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        segment_mass = trapezoid_weights(grid, values)
-        total = float(segment_mass.sum())
+        mass = trapezoid_weights(grid, values)
+        total = float(mass.sum())
         if not 0.99 <= total <= 1.001:
             raise DomainError(
                 f"density integrates to {total:.6f}, outside [0.99, 1.001]")
-        freeze_fields(self, grid=grid, values=values, segment_mass=segment_mass)
         peak = int(np.argmax(values))
-        object.__setattr__(self, "mode_location", float(grid[peak]))
-        object.__setattr__(self, "mode_density", float(values[peak]))
+        self._freeze(grid=grid, values=values, segment_mass=mass, total_mass=total,
+                     mode_location=float(grid[peak]), mode_density=float(values[peak]))
 
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:
@@ -132,7 +142,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     and grid_size returns that same estimate.
     """
     key = (bandwidth, grid_size)
-    latest = sample._latest_fit[0]
+    latest = sample._latest_fit
     if latest is not None and latest[0] == key:
         return latest[1]
     draws = sample.draws
@@ -180,7 +190,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         raise errors[0]
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
     est = DensityEstimate(grid=grid, values=values, bandwidth=h)
-    sample._latest_fit[0] = (key, est)
+    sample._freeze(_latest_fit=(key, est))
     return est
 
 

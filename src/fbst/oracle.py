@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import PosteriorSample, freeze_fields
+from .density import Frozen, PosteriorSample
 from .errors import DomainError, SamplerError
 
 # (ev_against, k, h, sev): the four summary blocks printed by the reference
@@ -34,7 +34,7 @@ _ACCEPT_LIMITS = (0.1, 0.7)
 
 
 @dataclass(frozen=True, eq=False)
-class TTestData:
+class TTestData(Frozen):
     """Two groups of observations for the two-sample t-test model."""
 
     group1: np.ndarray
@@ -47,7 +47,7 @@ class TTestData:
                 raise DomainError(f"{name} needs at least 2 observations")
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} contains non-finite observations")
-            freeze_fields(self, **{name: arr})
+            self._freeze(**{name: arr})
 
 
 def analytic_evalue_flat(mu: float, sigma: float, null_value: float) -> float:

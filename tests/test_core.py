@@ -171,17 +171,21 @@ class TestSurpriseTables:
                 assert kept == fresh
                 s = surprise_fit(est, ref, null)
                 assert np.array_equal(s.values, est.values / ref.evaluate(est.grid))
-        assert [held for held, _ in est._surprise_tables[0]] == [ref]
+        assert [held for held, _ in est._surprise_tables] == [ref]
 
     def test_default_reference_shares_the_flat_table(self):
         sample = normal_sample(n=5_000)
         fbst(sample, 0.3, 3, 2)
         fbst(sample, 0.7, 3, 2, reference=ReferenceFunction.flat())
-        assert [ref for ref, _ in kde_fit(sample)._surprise_tables[0]] == \
+        assert [ref for ref, _ in kde_fit(sample)._surprise_tables] == \
             [ReferenceFunction.flat()]
 
     def test_flat_is_one_instance_and_descriptors_are_kept(self):
-        assert ReferenceFunction.flat() is ReferenceFunction.flat()
+        flat = ReferenceFunction.flat()
+        assert flat is ReferenceFunction.flat()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(flat, protocol)) is flat
+        assert copy.deepcopy(flat) is flat and copy.copy(flat) is flat
         for ref in _references().values():
             assert ref.descriptor is ref.descriptor
 
@@ -202,12 +206,12 @@ class TestSurpriseTables:
         sample = normal_sample(n=5_000)
         fbst(sample, 0.5, 3, 2)
         est = kde_fit(sample)
-        kept = est._surprise_tables[0]
+        kept = est._surprise_tables
         ref = ReferenceFunction.from_family(DensityFamily.normal(0.0, 0.04))
         for estimator in ("grid", "monte_carlo", "grid"):
             with pytest.raises(ReferenceFunctionError, match="vanishes on the grid"):
                 fbst(sample, 0.5, 3, 2, reference=ref, estimator=estimator)
-            assert est._surprise_tables[0] is kept
+            assert est._surprise_tables is kept
 
     def test_keeps_at_most_the_bound_newest_first(self):
         est = kde_fit(normal_sample(n=2_000))
@@ -215,31 +219,37 @@ class TestSurpriseTables:
                 for i in range(1_000)]
         for ref in refs:
             surprise_fit(est, ref, 0.5)
-        assert [ref for ref, _ in est._surprise_tables[0]] == \
+        assert [ref for ref, _ in est._surprise_tables] == \
             refs[::-1][:core._KEPT_TABLES]
         again = surprise_fit(est, refs[0], 0.5)  # dropped, so tabulated anew
         assert np.array_equal(again.values, est.values / refs[0].evaluate(est.grid))
-        assert len(est._surprise_tables[0]) == core._KEPT_TABLES
+        assert len(est._surprise_tables) == core._KEPT_TABLES
 
     @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)),
                                            copy.deepcopy], ids=["pickle", "deepcopy"])
     def test_tested_sample_survives_a_round_trip(self, roundtrip):
         refs = _references()
         sample = normal_sample(n=5_000)
-        calls = [(null, name, estimator) for null in self.NULLS
-                 for name in ("cauchy", "table", "student_t")
+        names = ("cauchy", "table", "student_t", "flat")
+        calls = [(null, name, estimator) for null in self.NULLS for name in names
                  for estimator in ("grid", "monte_carlo")]
         before = [fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
                   for null, name, estimator in calls]
         loaded = roundtrip(sample)
         est = kde_fit(loaded)
-        assert est is loaded._latest_fit[0][1]
-        held = {ref.descriptor: ref for ref, _ in est._surprise_tables[0]}
-        assert sorted(held) == sorted(refs[name].descriptor
-                                      for name in ("cauchy", "table", "student_t"))
+        assert est is loaded._latest_fit[1]
+        kept = est._surprise_tables
+        held = {ref.descriptor: ref for ref, _ in kept}
+        assert sorted(held) == sorted(refs[name].descriptor for name in names)
+        # the loaded flat table is keyed by the shared flat reference, so a
+        # default-reference test reads it and tabulates nothing
+        assert fbst(loaded, 0.7, 3, 2) == fbst(sample, 0.7, 3, 2)
+        assert est._surprise_tables is kept
         for own in (lambda name: held[refs[name].descriptor], refs.__getitem__):
             assert [fbst(loaded, null, 3, 2, reference=own(name), estimator=estimator)
                     for null, name, estimator in calls] == before
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.draws[:] += 5.0
 
     def test_threads_on_one_sample_agree_with_a_serial_run(self):
         refs = list(_references().values())  # one more than a fit keeps
@@ -276,7 +286,7 @@ class TestSurpriseTables:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
-        assert len(kde_fit(shared)._surprise_tables[0]) <= core._KEPT_TABLES
+        assert len(kde_fit(shared)._surprise_tables) <= core._KEPT_TABLES
 
     @pytest.mark.parametrize("fam", TINY_SCALE_FAMILIES, ids=lambda f: f.family)
     def test_tiny_scale_reference_names_the_cause(self, fam):

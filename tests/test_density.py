@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -98,11 +100,35 @@ RECORDS = [
 ]
 
 
+# every way a record comes back as another object: pickle at each protocol and the copies
+ROUND_TRIPS = [*(lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+               copy.deepcopy, copy.copy]
+
+
+def _arrays_of(value, seen=None) -> list:
+    """Every distinct ndarray reachable from value through record fields, tuples
+    and mappings: a sample's kept fit and the fit's kept tables included."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, Mapping):
+        value = list(value.values())
+    elif not isinstance(value, (tuple, list)):
+        value = list(getattr(value, "__dict__", {}).values())
+    return [array for item in value for array in _arrays_of(item, seen)]
+
+
 @pytest.mark.parametrize("build,inputs,report", RECORDS)
 def test_owns_its_inputs(build, inputs, report):
     """A record keeps what it validated: writes to the caller's arrays or dict
     leave it unchanged, the caller's arrays stay writeable, the record's own
-    are read-only, and records holding arrays compare and hash by identity."""
+    are read-only, and records holding arrays compare and hash by identity.
+    A record loaded by pickle or copied reports the same, and every array it
+    reaches, a kept fit's and its tables' too, is read-only."""
     given = inputs()
     record = build(*given)
     twin = build(*copy.deepcopy(given))
@@ -115,11 +141,20 @@ def test_owns_its_inputs(build, inputs, report):
             item *= 3.0
             item += 1.0
     assert report(record) == before
+    for roundtrip in ROUND_TRIPS:
+        loaded = roundtrip(record)
+        arrays = _arrays_of(loaded)
+        assert len(arrays) == len(_arrays_of(record))
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array += 5.0
+        assert report(loaded) == before
     if isinstance(record, DensityFamily):  # read-only params, compared by value
         with pytest.raises(TypeError):
             record.params["scale"] = -2.0
         assert record == twin
-    arrays = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    arrays = _arrays_of(record)
     assert not any(array.flags.writeable for array in arrays)
     if arrays:
         assert record == record and record != twin
@@ -225,7 +260,7 @@ class TestKdeFit:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # one grid at the cap would take 8 MiB
-        assert sample._latest_fit == [None]
+        assert sample._latest_fit is None
 
     def test_bad_bandwidth(self):
         with warnings.catch_warnings():
@@ -279,7 +314,7 @@ class TestFitMemo:
         for kwargs in ({"grid_size": 256}, {"bandwidth": 0.2}):
             newer = kde_fit(sample, **kwargs)
             assert newer is not first
-            key, held = sample._latest_fit[0]
+            key, held = sample._latest_fit
             assert held is newer
             assert key == (kwargs.get("bandwidth"), kwargs.get("grid_size", 1024))
             assert kde_fit(sample, **kwargs) is newer
@@ -300,7 +335,7 @@ class TestFitMemo:
         for _ in range(2):
             with pytest.raises(DomainError, match="density integrates to"):
                 kde_fit(sample)
-            assert sample._latest_fit == [None]
+            assert sample._latest_fit is None
 
     def test_repr_and_replace(self, sample):
         est = kde_fit(sample)
@@ -308,7 +343,7 @@ class TestFitMemo:
         renamed = dataclasses.replace(sample, label="delta")
         assert renamed.label == "delta"
         assert np.array_equal(renamed.draws, sample.draws)
-        assert renamed._latest_fit == [None]
+        assert renamed._latest_fit is None
         assert kde_fit(renamed) is not est
         assert kde_fit(sample) is est
 
@@ -392,7 +427,7 @@ class TestSharedBlocks:
             kde_fit(sample)
         assert len(failed_on) == 1
         assert (failed_on[0] is threading.current_thread()) == (share == 0)
-        assert sample._latest_fit == [None]
+        assert sample._latest_fit is None
         monkeypatch.setattr(density, "_fill_blocks", fill)
         assert np.array_equal(kde_fit(sample).values,
                               kde_fit(sample_of(sample.draws)).values)
