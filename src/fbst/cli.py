@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReferenceFunction, fbst_pipeline, standardized_evalue
+from .core import ReferenceFunction, check_null, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
@@ -113,6 +113,7 @@ def _draws_spec(args) -> DrawsFileSpec:
                          column=args.column, delimiter=args.delimiter)
 
 def _run_pipeline(args, parser: _Parser):
+    check_null(args.null)
     sample = load_draws(_draws_spec(args))
     reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"

@@ -48,14 +48,10 @@ class ReferenceFunction(Frozen):
             raise ReferenceFunctionError("tabulated reference values must be positive")
         self._freeze(grid=grid, values=values)
 
-    def __reduce_ex__(self, protocol):  # a loaded flat reference is the shared one
-        flat = self.family is None and self.grid is None
-        return (ReferenceFunction.flat, ()) if flat else super().__reduce_ex__(protocol)
-
     @classmethod
     @cache
     def flat(cls) -> "ReferenceFunction":
-        """The flat reference: one shared instance, so a fit tabulates it once."""
+        """The flat reference: one shared instance, so `reference=None` builds none."""
         return cls()
 
     @classmethod
@@ -177,12 +173,11 @@ class FbstResult:
 def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
                  null_value: float) -> SurpriseFunction:
     """Tabulate s(theta) on the posterior grid and evaluate it at the null.
-    No null enters the table, so the fit keeps it for its latest few
-    references, matched by identity (each reference is immutable)."""
-    if not math.isfinite(null_value):
-        raise DomainError(f"null value must be finite, got {null_value}")
-    kept = posterior._surprise_tables
-    values = next((table for held, table in kept if held is ref), None)
+    No null enters the table, so the fit keeps it for its latest references,
+    matched by descriptor (it fixes r exactly), a table by identity."""
+    check_null(null_value)
+    kept, key = posterior._surprise_tables, ref.descriptor if ref.grid is None else ref
+    values = next((table for held, table in kept if held == key), None)
     if values is None:
         ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
         if np.any(ref_values <= 0):
@@ -190,7 +185,7 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
             raise ReferenceFunctionError(
                 f"reference function vanishes on the grid near {where:g}")
         values = posterior.values / ref_values
-        posterior._freeze(_surprise_tables=((ref, values),) + kept[:_KEPT_TABLES - 1])
+        posterior._freeze(_surprise_tables=((key, values),) + kept[:_KEPT_TABLES - 1])
     s0_density = kde_eval(posterior, null_value)
     r0 = float(ref.evaluate(null_value))
     if r0 <= 0:
@@ -258,21 +253,25 @@ def _check_dims(k: int, h: int) -> None:
             f"null dimension {h} must be below parameter dimension {k}")
 
 
+def check_null(null_value: float) -> None:
+    if not math.isfinite(null_value):
+        raise DomainError(f"null value must be finite, got {null_value}")
+
+
 def fbst_pipeline(sample: PosteriorSample, null_value: float, dim_theta: int,
                   dim_null: int, reference: ReferenceFunction | None = None,
                   estimator: str = "grid", bandwidth: float | None = None,
                   grid_size: int = DEFAULT_GRID_SIZE):
     """Run the full test; also return its surprise function (and posterior)."""
     _check_dims(dim_theta, dim_null)
+    check_null(null_value)
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     ref = reference if reference is not None else ReferenceFunction.flat()
     posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
     surprise = surprise_fit(posterior, ref, null_value)
-    if estimator == "grid":
-        ev_against = evalue_grid(surprise)
-    else:
-        ev_against = evalue_mc(sample, surprise)
+    ev_against = (evalue_grid(surprise) if estimator == "grid"
+                  else evalue_mc(sample, surprise))
     ratio = surprise.relative_null_ratio
     p_value = 0.0 if ratio == 0.0 else pvalue_evalue(ratio, dim_theta, dim_null)
     sev_against, sev = standardized_evalue(ev_against, dim_theta, dim_null)

@@ -101,7 +101,7 @@ class DensityEstimate(Frozen):
     mode_density: float = field(init=False)
     segment_mass: np.ndarray = field(init=False, repr=False)
     total_mass: float = field(init=False, repr=False)
-    # ((reference, p / r), ...), newest first, kept by `core.surprise_fit`:
+    # ((key, p / r), ...), newest first, kept and keyed by `core.surprise_fit`:
     # one tuple, replaced whole, as in PosteriorSample._latest_fit.
     _surprise_tables: tuple = field(default=(), init=False, repr=False)
 

@@ -257,6 +257,12 @@ class TestExitCodes:
         assert "50 x 40 px" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_null_checked_before_draws_are_read(self, capsys, tmp_path):
+        argv = ["test", "--draws", str(tmp_path / "missing.csv"), "--null", "nan",
+                "--dim-theta", "3", "--dim-null", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "fbst: null value must be finite, got nan\n"
+
     def test_unwritable_output_is_4(self, capsys, tmp_path):
         missing = tmp_path / "no" / "summary.txt"
         assert main(["test", *BASE, "--output", str(missing)]) == 4

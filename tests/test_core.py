@@ -156,36 +156,43 @@ class TestSurpriseTables:
     """A fit keeps p / r per reference; tests on it match fresh fits bit for bit."""
 
     NULLS = (-0.4, 0.3, 1.0, 1.8, 2.9)
+    ROUNDTRIPS = {"pickle": [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+                             for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+                  "deepcopy": [copy.deepcopy]}
 
     @pytest.mark.parametrize("estimator", ["grid", "monte_carlo"])
-    @pytest.mark.parametrize("name", list(_references()))
+    @pytest.mark.parametrize("name", [*_references(), "cauchy_rebuilt"])
     def test_kept_fit_matches_fresh_computation(self, name, estimator):
-        ref = _references()[name]
+        ref = _references()[name.removesuffix("_rebuilt")]
+        # "cauchy_rebuilt" builds an equal Cauchy reference anew for every call
+        rebuilt = name.endswith("_rebuilt")
+        own = (lambda: _references()["cauchy"]) if rebuilt else (lambda: ref)
         sample = normal_sample(n=5_000)
         est = kde_fit(sample)
         for _ in range(2):  # the second pass reads the kept table
             for null in self.NULLS:
-                kept = fbst(sample, null, 3, 2, reference=ref, estimator=estimator)
+                kept = fbst(sample, null, 3, 2, reference=own(), estimator=estimator)
                 fresh = fbst(normal_sample(n=5_000), null, 3, 2, reference=ref,
                              estimator=estimator)
                 assert kept == fresh
-                s = surprise_fit(est, ref, null)
+                s = surprise_fit(est, own(), null)
                 assert np.array_equal(s.values, est.values / ref.evaluate(est.grid))
-        assert [held for held, _ in est._surprise_tables] == [ref]
+        key = ref if name == "table" else ref.descriptor  # a table by identity
+        assert [held for held, _ in est._surprise_tables] == [key]
 
     def test_default_reference_shares_the_flat_table(self):
         sample = normal_sample(n=5_000)
+        flat = ReferenceFunction.flat()
         fbst(sample, 0.3, 3, 2)
-        fbst(sample, 0.7, 3, 2, reference=ReferenceFunction.flat())
-        assert [ref for ref, _ in kde_fit(sample)._surprise_tables] == \
-            [ReferenceFunction.flat()]
+        kept = kde_fit(sample)._surprise_tables
+        assert fbst(sample, 0.7, 3, 2, reference=flat) == \
+            fbst(sample, 0.7, 3, 2, reference=ReferenceFunction())
+        assert kde_fit(sample)._surprise_tables is kept
+        assert [key for key, _ in kept] == [flat.descriptor]
 
     def test_flat_is_one_instance_and_descriptors_are_kept(self):
         flat = ReferenceFunction.flat()
         assert flat is ReferenceFunction.flat()
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.loads(pickle.dumps(flat, protocol)) is flat
-        assert copy.deepcopy(flat) is flat and copy.copy(flat) is flat
         for ref in _references().values():
             assert ref.descriptor is ref.descriptor
 
@@ -219,15 +226,14 @@ class TestSurpriseTables:
                 for i in range(1_000)]
         for ref in refs:
             surprise_fit(est, ref, 0.5)
-        assert [ref for ref, _ in est._surprise_tables] == \
-            refs[::-1][:core._KEPT_TABLES]
+        assert [key for key, _ in est._surprise_tables] == \
+            [ref.descriptor for ref in refs[::-1][:core._KEPT_TABLES]]
         again = surprise_fit(est, refs[0], 0.5)  # dropped, so tabulated anew
         assert np.array_equal(again.values, est.values / refs[0].evaluate(est.grid))
         assert len(est._surprise_tables) == core._KEPT_TABLES
 
-    @pytest.mark.parametrize("roundtrip", [lambda x: pickle.loads(pickle.dumps(x)),
-                                           copy.deepcopy], ids=["pickle", "deepcopy"])
-    def test_tested_sample_survives_a_round_trip(self, roundtrip):
+    @pytest.mark.parametrize("kind", list(ROUNDTRIPS))
+    def test_tested_sample_survives_a_round_trip(self, kind):
         refs = _references()
         sample = normal_sample(n=5_000)
         names = ("cauchy", "table", "student_t", "flat")
@@ -235,21 +241,31 @@ class TestSurpriseTables:
                  for estimator in ("grid", "monte_carlo")]
         before = [fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
                   for null, name, estimator in calls]
-        loaded = roundtrip(sample)
-        est = kde_fit(loaded)
-        assert est is loaded._latest_fit[1]
-        kept = est._surprise_tables
-        held = {ref.descriptor: ref for ref, _ in kept}
-        assert sorted(held) == sorted(refs[name].descriptor for name in names)
-        # the loaded flat table is keyed by the shared flat reference, so a
-        # default-reference test reads it and tabulates nothing
-        assert fbst(loaded, 0.7, 3, 2) == fbst(sample, 0.7, 3, 2)
-        assert est._surprise_tables is kept
-        for own in (lambda name: held[refs[name].descriptor], refs.__getitem__):
-            assert [fbst(loaded, null, 3, 2, reference=own(name), estimator=estimator)
-                    for null, name, estimator in calls] == before
-        with pytest.raises(ValueError, match="read-only"):
-            loaded.draws[:] += 5.0
+        for roundtrip in self.ROUNDTRIPS[kind]:
+            loaded = roundtrip(sample)
+            est = kde_fit(loaded)
+            assert est is loaded._latest_fit[1]
+            kept = est._surprise_tables
+            held = {getattr(key, "descriptor", key): key for key, _ in kept}
+            assert sorted(held) == sorted(refs[name].descriptor for name in names)
+            own = {**refs, "table": held[refs["table"].descriptor], None: None}
+            assert own["table"] is not refs["table"]  # the loaded copy of the table
+            # the caller's flat and family references, the default one and the
+            # loaded table find the loaded tables, so they tabulate nothing
+            for name in ("flat", "cauchy", "student_t", None, "table"):
+                assert fbst(loaded, 0.7, 3, 2, reference=own[name]) == \
+                    fbst(sample, 0.7, 3, 2, reference=refs.get(name))
+                assert est._surprise_tables is kept
+            # the caller's table is matched only as itself, so it tabulates anew
+            fbst(loaded, 0.7, 3, 2, reference=refs["table"])
+            assert [key for key, _ in est._surprise_tables] == \
+                [refs["table"]] + [key for key, _ in kept][:core._KEPT_TABLES - 1]
+            for refs_used in (own, refs):
+                assert [fbst(loaded, null, 3, 2, reference=refs_used[name],
+                             estimator=estimator)
+                        for null, name, estimator in calls] == before
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.draws[:] += 5.0
 
     def test_threads_on_one_sample_agree_with_a_serial_run(self):
         refs = list(_references().values())  # one more than a fit keeps
@@ -552,6 +568,13 @@ class TestFbst:
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
             fbst(normal_sample(n=10_000), 0.0, 2, 2)
+
+    @pytest.mark.parametrize("null", [math.nan, math.inf, -math.inf])
+    def test_non_finite_null_fails_before_the_fit(self, null):
+        sample = normal_sample(n=10_000)
+        with pytest.raises(DomainError, match="null value must be finite"):
+            fbst(sample, null, 3, 2)
+        assert sample._latest_fit is None
 
 
 class TestFbstResultInvariants:
