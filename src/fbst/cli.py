@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ReferenceFunction, check_null, fbst_pipeline, standardized_evalue
+from .core import ReferenceFunction, check_run, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
-                 load_reference_table, write_result)
+                 load_reference_table, timestamp_now, write_result)
 from .oracle import SEV_FIXTURES, analytic_evalue_flat
-from .special_math import DensityFamily, chisq_cdf, chisq_quantile
+from .special_math import chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
 
 
@@ -84,24 +84,12 @@ def _build_parser() -> _Parser:
 
 
 def _parse_reference(text: str, parser: _Parser) -> ReferenceFunction:
-    if text == "flat":
-        return ReferenceFunction.flat()
     if text.startswith("table:"):
         return load_reference_table(text[len("table:"):])
-    family, _, params_text = text.partition(":")
-    params = {}
-    for item in filter(None, params_text.split(",")):
-        key, eq, value = item.partition("=")
-        if not eq:
-            parser.error(f"reference parameter {item!r} is not key=value")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            parser.error(f"reference parameter {item!r} has a non-numeric value")
     try:
-        return ReferenceFunction.from_family(DensityFamily(family, params))
+        return ReferenceFunction.parse(text)
     except DomainError as err:
-        parser.error(f"bad reference descriptor {text!r}: {err}")
+        parser.error(str(err))
 
 
 def _draws_spec(args) -> DrawsFileSpec:
@@ -113,10 +101,11 @@ def _draws_spec(args) -> DrawsFileSpec:
                          column=args.column, delimiter=args.delimiter)
 
 def _run_pipeline(args, parser: _Parser):
-    check_null(args.null)
-    sample = load_draws(_draws_spec(args))
     reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
+    check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
+              args.grid_size)
+    sample = load_draws(_draws_spec(args))
     result, surprise = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
@@ -125,14 +114,15 @@ def _run_pipeline(args, parser: _Parser):
 
 
 def run_test(args, parser: _Parser) -> int:
-    sample, result, surprise = _run_pipeline(args, parser)
     try:
-        doc = ResultDocument.from_result(result, sample_size=sample.n,
-                                         bandwidth=surprise.posterior.bandwidth,
-                                         grid_size=args.grid_size)
+        timestamp = timestamp_now()
     except ValueError as err:  # a bad SOURCE_DATE_EPOCH
         print(f"fbst: {err}", file=sys.stderr)
         return 1
+    sample, result, surprise = _run_pipeline(args, parser)
+    doc = ResultDocument.from_result(result, sample_size=sample.n,
+                                     bandwidth=surprise.posterior.bandwidth,
+                                     grid_size=args.grid_size, timestamp=timestamp)
     if args.output is None:
         sys.stdout.write(format_result(doc, args.output_format))
     else:
@@ -194,12 +184,6 @@ def main(argv=None) -> int:
         if args.command == "plot":
             return run_plot(args, parser)
         return run_selfcheck()
-    except DrawsError as err:
+    except (FbstError, OSError) as err:
         print(f"fbst: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"fbst: {err}", file=sys.stderr)
-        return 4
-    except FbstError as err:
-        print(f"fbst: {err}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(err, DrawsError) else 3 if isinstance(err, FbstError) else 4

@@ -17,7 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
-                      kde_eval, kde_fit, tabulated_curve)
+                      check_fit, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
 
@@ -61,6 +61,27 @@ class ReferenceFunction(Frozen):
     @classmethod
     def from_table(cls, grid, values, source: str = "") -> "ReferenceFunction":
         return cls(grid=grid, values=values, source=source)
+
+    @classmethod
+    def parse(cls, text: str) -> "ReferenceFunction":
+        """The flat or density-family reference whose `descriptor` is text."""
+        if text == "flat":
+            return cls.flat()
+        family, _, pairs = text.partition(":")
+        params = {}
+        try:
+            if family == "table":
+                raise DomainError("a table is read from its file by io.load_reference_table")
+            for item in filter(None, pairs.split(",")):
+                key, eq, value = (part.strip() for part in item.partition("="))
+                if not eq:
+                    raise DomainError(f"parameter {item!r} is not key=value")
+                if key in params:
+                    raise DomainError(f"parameter {key!r} is given twice")
+                params[key] = float(value)
+            return cls.from_family(DensityFamily(family, params))
+        except (DomainError, ValueError) as err:  # ValueError: a value that is no float
+            raise DomainError(f"bad reference descriptor {text!r}: {err}") from None
 
     @cached_property
     def descriptor(self) -> str:
@@ -258,15 +279,22 @@ def check_null(null_value: float) -> None:
         raise DomainError(f"null value must be finite, got {null_value}")
 
 
+def check_run(null_value: float, dim_theta: int, dim_null: int, estimator: str = "grid",
+              bandwidth: float | None = None, grid_size: int = DEFAULT_GRID_SIZE) -> None:
+    """Every check of a test's arguments that needs no draws: run it before reading them."""
+    _check_dims(dim_theta, dim_null)
+    check_null(null_value)
+    if estimator not in ESTIMATORS:
+        raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    check_fit(bandwidth, grid_size)
+
+
 def fbst_pipeline(sample: PosteriorSample, null_value: float, dim_theta: int,
                   dim_null: int, reference: ReferenceFunction | None = None,
                   estimator: str = "grid", bandwidth: float | None = None,
                   grid_size: int = DEFAULT_GRID_SIZE):
     """Run the full test; also return its surprise function (and posterior)."""
-    _check_dims(dim_theta, dim_null)
-    check_null(null_value)
-    if estimator not in ESTIMATORS:
-        raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    check_run(null_value, dim_theta, dim_null, estimator, bandwidth, grid_size)
     ref = reference if reference is not None else ReferenceFunction.flat()
     posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
     surprise = surprise_fit(posterior, ref, null_value)

@@ -134,6 +134,15 @@ def silverman_bandwidth(sample: PosteriorSample) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
+def check_fit(bandwidth: float | None, grid_size: int) -> None:
+    """The checks of `kde_fit`'s arguments that need no draws."""
+    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be between {MIN_GRID_SIZE} and "
+                          f"{MAX_GRID_SIZE}, got {grid_size}")
+    if bandwidth is not None and not 0 < float(bandwidth) < math.inf:
+        raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
+
+
 def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> DensityEstimate:
     """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths.
@@ -145,16 +154,9 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     latest = sample._latest_fit
     if latest is not None and latest[0] == key:
         return latest[1]
+    check_fit(bandwidth, grid_size)
     draws = sample.draws
-    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
-        raise DomainError(f"grid_size must be between {MIN_GRID_SIZE} and "
-                          f"{MAX_GRID_SIZE}, got {grid_size}")
-    if bandwidth is None:
-        h = silverman_bandwidth(sample)
-    else:
-        h = float(bandwidth)
-        if not 0 < h < math.inf:
-            raise DomainError(f"bandwidth must be positive and finite, got {bandwidth}")
+    h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
     lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h
     if not math.isfinite(hi - lo):
         raise DomainError(f"bandwidth {h:g} makes the grid span overflow")

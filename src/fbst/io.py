@@ -39,6 +39,8 @@ class DrawsFileSpec:
             raise DrawsError(f"format must be one of {FORMATS}, got {self.format!r}")
         if len(self.delimiter) != 1:
             raise DrawsError(f"delimiter must be one character, got {self.delimiter!r}")
+        if self.format == "plain" and self.column is not None:
+            raise DrawsError(f"{self.path}: a plain file has no column {self.column!r}")
 
 
 def _is_number(text: str) -> bool:
@@ -155,6 +157,8 @@ def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
             raise DrawsError(f"{path}: no array named {column!r}")
         values, label = payload[column], str(column)
     elif isinstance(payload, list):
+        if column is not None:
+            raise DrawsError(f"{path}: a bare array has no column {column!r}")
         values, label = payload, path.stem
     else:
         raise DrawsError(f"{path}: expected an array or an object of arrays")
@@ -215,7 +219,7 @@ class ResultDocument(FbstResult):
         return cls(**asdict(result), tool_version=__version__,
                    sample_size=int(sample_size), bandwidth=float(bandwidth),
                    grid_size=int(grid_size),
-                   timestamp=timestamp if timestamp is not None else _now())
+                   timestamp=timestamp if timestamp is not None else timestamp_now())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,7 +233,7 @@ class ResultDocument(FbstResult):
         return cls(**{n: payload[n] for n in names})
 
 
-def _now() -> str:
+def timestamp_now() -> str:
     # SOURCE_DATE_EPOCH pins the timestamp for reproducible outputs
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:

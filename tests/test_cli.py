@@ -263,6 +263,50 @@ class TestExitCodes:
         assert main(argv) == 3
         assert capsys.readouterr().err == "fbst: null value must be finite, got nan\n"
 
+    # Each argument is checked before the draws are read, so each names its
+    # own cause although the draws file does not exist.
+    @pytest.mark.parametrize("extra,epoch,code,message", [
+        (("--dim-theta", "2"), None, 3,
+         "fbst: null dimension 2 must be below parameter dimension 2\n"),
+        (("--grid-size", "64"), None, 3,
+         "fbst: grid_size must be between 128 and 1048576, got 64\n"),
+        (("--bandwidth", "-1"), None, 3,
+         "fbst: bandwidth must be positive and finite, got -1.0\n"),
+        (("--ref", "normal:mean=0,sd=-1"), None, 1,
+         "parameter 'sd' must be positive, got -1.0\n"),
+        (("--ref", "table:{tmp}/missing_ref.csv"), None, 2,
+         "fbst: {tmp}/missing_ref.csv: reference table not found\n"),
+        (("--ref", "normal:mean=0,sd=1,sd=0.5"), None, 1,
+         "bad reference descriptor 'normal:mean=0,sd=1,sd=0.5': "
+         "parameter 'sd' is given twice\n"),
+        (("--column", "7"), None, 2,
+         "fbst: {tmp}/missing.txt: a plain file has no column 7\n"),
+        ((), "abc", 1,
+         "fbst: SOURCE_DATE_EPOCH='abc' is not a Unix time in whole seconds\n"),
+    ], ids=["dimensions", "grid_size", "bandwidth", "family_scale", "missing_table",
+            "repeated_key", "plain_column", "source_date_epoch"])
+    def test_bad_argument_checked_before_draws_are_read(self, capsys, monkeypatch,
+                                                        tmp_path, extra, epoch, code,
+                                                        message):
+        if epoch is not None:
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        argv = ["test", "--draws", str(tmp_path / "missing.txt"), *BASE[2:],
+                *(arg.format(tmp=tmp_path) for arg in extra)]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # a usage error
+            got = exc.code
+        err = capsys.readouterr().err
+        assert (got, err.endswith(message.format(tmp=tmp_path))) == (code, True), err
+        assert "file not found" not in err
+
+    def test_column_on_a_bare_json_array_is_2(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps([0.5] * 40), encoding="utf-8")
+        assert main(["test", "--draws", str(path), *BASE[2:], "--column", "nosuch"]) == 2
+        assert capsys.readouterr().err == \
+            f"fbst: {path}: a bare array has no column 'nosuch'\n"
+
     def test_unwritable_output_is_4(self, capsys, tmp_path):
         missing = tmp_path / "no" / "summary.txt"
         assert main(["test", *BASE, "--output", str(missing)]) == 4

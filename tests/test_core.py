@@ -87,6 +87,58 @@ class TestReferenceFunction:
                               grid=[0.0, 1.0], values=[1.0, 1.0])
 
 
+PARSED_FAMILIES = {
+    "flat": None,
+    "normal": DensityFamily.normal(1.5, 2.5),
+    "cauchy": DensityFamily.cauchy(0.0, PRIOR_SCALE),  # the scale prints via repr
+    "student_t": DensityFamily.student_t(0.25, 1.0 / 3.0, 4.0),
+    "negative_zero_mean": DensityFamily.normal(-0.0, 1.0),
+}
+
+
+class TestReferenceParse:
+    @pytest.mark.parametrize("name", list(PARSED_FAMILIES))
+    def test_parse_inverts_descriptor(self, name):
+        fam = PARSED_FAMILIES[name]
+        ref = ReferenceFunction.flat() if fam is None else ReferenceFunction.from_family(fam)
+        parsed = ReferenceFunction.parse(ref.descriptor)
+        assert parsed.descriptor == ref.descriptor
+        grid = np.linspace(-6.0, 6.0, 1001)
+        assert parsed.evaluate(grid).tobytes() == ref.evaluate(grid).tobytes()
+        # a test with the parsed reference reads the table the original left
+        sample = normal_sample(n=5_000)
+        fbst(sample, 0.3, 3, 2, reference=ref)
+        est = kde_fit(sample)
+        kept = est._surprise_tables
+        assert fbst(sample, 0.7, 3, 2, reference=parsed) == \
+            fbst(normal_sample(n=5_000), 0.7, 3, 2, reference=ref)
+        assert est._surprise_tables is kept and len(kept) == 1
+
+    def test_descriptor_details_survive(self):
+        cauchy = ReferenceFunction.from_family(PARSED_FAMILIES["cauchy"]).descriptor
+        assert cauchy == "cauchy:location=0,scale=0.7071067811865476"
+        zero = ReferenceFunction.parse("normal:mean=-0,sd=1").family.params["mean"]
+        assert math.copysign(1.0, zero) == -1.0
+        assert ReferenceFunction.parse("flat") is ReferenceFunction.flat()
+        spaced = ReferenceFunction.parse("normal: sd = 2 ,mean=0,")
+        assert spaced.descriptor == "normal:mean=0,sd=2"
+
+    @pytest.mark.parametrize("text,problem", [
+        ("normal:mean=0,sd=1,sd=0.5", "parameter 'sd' is given twice"),
+        ("normal:mean=0,sd=1,mean=0", "parameter 'mean' is given twice"),
+        ("cauchy:scale", "parameter 'scale' is not key=value"),
+        ("normal:mean=zero,sd=1", "could not convert string to float: 'zero'"),
+        ("normal:mean=0,sd=-1", "parameter 'sd' must be positive, got -1.0"),
+        ("normal:mean=0", "family 'normal' takes parameters ['mean', 'sd'], got ['mean']"),
+        ("gamma:shape=2", "unknown density family 'gamma'"),
+        ("table:r.csv", "a table is read from its file by io.load_reference_table"),
+    ])
+    def test_parse_rejects_with_the_cause(self, text, problem):
+        with pytest.raises(DomainError) as err:
+            ReferenceFunction.parse(text)
+        assert str(err.value) == f"bad reference descriptor {text!r}: {problem}"
+
+
 class TestSurpriseFit:
     def test_flat_reference_recovers_posterior(self):
         est = kde_fit(normal_sample(n=2_000))

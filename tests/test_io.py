@@ -60,6 +60,12 @@ class TestDrawsFileSpec:
         with pytest.raises(DrawsError, match="delimiter"):
             DrawsFileSpec(path="x", format="csv", delimiter=";;")
 
+    @pytest.mark.parametrize("column", [7, "theta"])
+    def test_rejects_a_column_for_a_plain_file(self, column):
+        # raised by the spec itself, so before the file is looked for
+        with pytest.raises(DrawsError, match=f"^absent.txt: a plain file has no column {column!r}$"):
+            DrawsFileSpec(path="absent.txt", format="plain", column=column)
+
 
 class TestLoadPlain:
     def test_values_and_label(self, tmp_path):
@@ -329,6 +335,12 @@ class TestLoadJson:
         sample = load_draws(DrawsFileSpec(path=path, format="json"))
         assert sample.label == "chain"
         assert sample.n == 30
+
+    @pytest.mark.parametrize("column", ["nosuch", 0])
+    def test_bare_array_rejects_a_column(self, tmp_path, column):
+        path = _write(tmp_path, "chain.json", json.dumps([0.5] * 30))
+        with pytest.raises(DrawsError, match=f"chain\\.json: a bare array has no column {column!r}$"):
+            load_draws(DrawsFileSpec(path=path, format="json", column=column))
 
     def test_object_single_array(self, tmp_path):
         path = _write(tmp_path, "d.json", json.dumps({"delta": [1, 2.5] * 16}))
