@@ -279,8 +279,8 @@ def check_null(null_value: float) -> None:
         raise DomainError(f"null value must be finite, got {null_value}")
 
 
-def check_run(null_value: float, dim_theta: int, dim_null: int, estimator: str = "grid",
-              bandwidth: float | None = None, grid_size: int = DEFAULT_GRID_SIZE) -> None:
+def check_run(null_value: float, dim_theta: int, dim_null: int, estimator: str,
+              bandwidth: float | None, grid_size: int) -> None:
     """Every check of a test's arguments that needs no draws: run it before reading them."""
     _check_dims(dim_theta, dim_null)
     check_null(null_value)
