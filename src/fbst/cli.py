@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .core import ReferenceFunction, check_run, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
-from .io import (DrawsFileSpec, ResultDocument, format_result, load_draws,
-                 load_reference_table, timestamp_now, write_result)
+from .io import (FORMATS, DrawsFileSpec, ResultDocument, format_result, load_draws,
+                 load_reference, timestamp_now, write_result, write_text)
 from .oracle import SEV_FIXTURES, analytic_evalue_flat
 from .special_math import chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
@@ -31,9 +30,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _column_arg(text: str):
-    return int(text) if text.isdigit() else text
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fbst",
                      description="Full Bayesian Significance Test on "
@@ -42,10 +38,10 @@ def _build_parser() -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--draws", required=True, help="draws file")
-    common.add_argument("--file-format", choices=("csv", "json", "plain"),
+    common.add_argument("--file-format", choices=FORMATS,
                         help="draws file format (default: from extension)")
-    common.add_argument("--column", type=_column_arg,
-                        help="column name or index for csv/json files")
+    common.add_argument("--column", help="csv column name or zero-based index, "
+                                          "or json array name")
     common.add_argument("--delimiter", default=",", help="csv delimiter")
     common.add_argument("--null", type=float, required=True,
                         help="sharp null hypothesis value")
@@ -84,28 +80,18 @@ def _build_parser() -> _Parser:
 
 
 def _parse_reference(text: str, parser: _Parser) -> ReferenceFunction:
-    if text.startswith("table:"):
-        return load_reference_table(text[len("table:"):])
     try:
-        return ReferenceFunction.parse(text)
+        return load_reference(text)
     except DomainError as err:
         parser.error(str(err))
-
-
-def _draws_spec(args) -> DrawsFileSpec:
-    file_format = args.file_format
-    if file_format is None:
-        suffix = Path(args.draws).suffix.lower()
-        file_format = {".csv": "csv", ".json": "json"}.get(suffix, "plain")
-    return DrawsFileSpec(path=args.draws, format=file_format,
-                         column=args.column, delimiter=args.delimiter)
 
 def _run_pipeline(args, parser: _Parser):
     reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
     check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
               args.grid_size)
-    sample = load_draws(_draws_spec(args))
+    sample = load_draws(DrawsFileSpec(args.draws, args.file_format, args.column,
+                                      args.delimiter))
     result, surprise = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
@@ -139,9 +125,7 @@ def run_plot(args, parser: _Parser) -> int:
                     right_boundary=args.right_boundary,
                     show_cutoff_line=not args.no_cutoff_line)
     sample, _, surprise = _run_pipeline(args, parser)
-    document = render_fbst_plot(surprise, replace(spec, x_label=sample.label))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(document)
+    write_text(args.out, render_fbst_plot(surprise, replace(spec, x_label=sample.label)))
     return 0
 
 def run_selfcheck() -> int:

@@ -254,8 +254,6 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
     _check_dims(k, h)
     if not 0.0 <= ev_against <= 1.0:
         raise DomainError(f"e-value must lie in [0, 1], got {ev_against}")
-    if ev_against == 0.0:
-        return 0.0, 1.0
     if ev_against == 1.0:
         return 1.0, 0.0
     if h == 0:
@@ -265,6 +263,8 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
 
 
 def _check_dims(k: int, h: int) -> None:
+    if not (isinstance(k, (int, np.integer)) and isinstance(h, (int, np.integer))):
+        raise DimensionError(f"dimensions must be integers, got {k!r} and {h!r}")
     if k < 1:
         raise DimensionError(f"parameter dimension must be positive, got {k}")
     if h < 0:

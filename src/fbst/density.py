@@ -136,6 +136,8 @@ def silverman_bandwidth(sample: PosteriorSample) -> float:
 
 def check_fit(bandwidth: float | None, grid_size: int) -> None:
     """The checks of `kde_fit`'s arguments that need no draws."""
+    if not isinstance(grid_size, (int, np.integer)):
+        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be between {MIN_GRID_SIZE} and "
                           f"{MAX_GRID_SIZE}, got {grid_size}")
@@ -150,11 +152,11 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     The sample keeps its latest fit: a repeat call with the same bandwidth
     and grid_size returns that same estimate.
     """
+    check_fit(bandwidth, grid_size)
     key = (bandwidth, grid_size)
     latest = sample._latest_fit
     if latest is not None and latest[0] == key:
         return latest[1]
-    check_fit(bandwidth, grid_size)
     draws = sample.draws
     h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
     lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h

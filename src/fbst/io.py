@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .core import FbstResult, ReferenceFunction
 from .density import PosteriorSample
-from .errors import DrawsError
+from .errors import DomainError, DrawsError
 
 FORMATS = ("csv", "json", "plain")
 
@@ -30,11 +31,15 @@ class DrawsFileSpec:
     """Where and how to read posterior draws."""
 
     path: str
-    format: str
+    format: str | None = None  # None: csv or json by the suffix, else plain
     column: str | int | None = None
     delimiter: str = ","
 
     def __post_init__(self) -> None:
+        if self.format is None:
+            suffix = Path(self.path).suffix.lower()
+            object.__setattr__(self, "format",
+                               {".csv": "csv", ".json": "json"}.get(suffix, "plain"))
         if self.format not in FORMATS:
             raise DrawsError(f"format must be one of {FORMATS}, got {self.format!r}")
         if len(self.delimiter) != 1:
@@ -106,35 +111,30 @@ def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
 def _load_csv(path: Path, column: str | int | None, delimiter: str) \
         -> tuple[list[float] | np.ndarray, str]:
     rows = _csv_rows(path, delimiter)
-    start, end, header = next(rows, (0, 0, None))
-    if header is None:
+    start, end, first = next(rows, (0, 0, None))
+    if first is None:
         raise DrawsError(f"{path}: file is empty")
-    if column is None:
-        if len(header) != 1:
-            raise DrawsError(
-                f"{path}: {len(header)} columns; select one with a column name")
-        index = 0
-    elif isinstance(column, int):
-        if not 0 <= column < len(header):
-            raise DrawsError(f"{path}: column index {column} out of range")
-        index = column
-    else:
-        if column not in header:
-            if all(_is_number(cell) for cell in header):
-                raise DrawsError(f"{path}: named column needs a header row")
-            raise DrawsError(f"{path}: no column named {column!r} in header")
+    # a header is all text or has text over a number; a name beats a digit index
+    below = next(rows, None)
+    text = [not _is_number(cell) for cell in first]
+    header = first if all(text) or below and any(
+        t and _is_number(b) for t, b in zip(text, below[2])) else None
+    if isinstance(column, str) and header and column in header:
         index = header.index(column)
-    label = header[index]
-    draws = []
-    if _is_number(label):  # headerless single-column files are still readable
-        if isinstance(column, str):
-            raise DrawsError(f"{path}: named column needs a header row")
-        draws.append(_parse_number(label, f"{path}:{start}"))
-        label = path.stem
-    values = _loadtxt_column(path, delimiter, index, start - 1 if draws else end)
+    elif isinstance(column, str) and not (column.isascii() and column.isdigit()):
+        raise DrawsError(f"{path}: no column named {column!r} in header" if header
+                         else f"{path}: named column needs a header row")
+    elif column is None and len(first) != 1:
+        raise DrawsError(f"{path}: {len(first)} columns; select one with a column name")
+    elif not 0 <= (index := int(column or 0)) < len(first):
+        raise DrawsError(f"{path}: column index {column} out of range")
+    label, skip = (header[index], end) if header else (path.stem, start - 1)
+    values = _loadtxt_column(path, delimiter, index, skip)
     if values is not None:
         return values, label
-    for lineno, _, row in rows:
+    ahead = ([] if header else [(start, end, first)]) + ([below] if below else [])
+    draws = []
+    for lineno, _, row in itertools.chain(ahead, rows):
         if index >= len(row):
             raise DrawsError(f"{path}:{lineno}: row has no column {index}")
         draws.append(_parse_number(row[index], f"{path}:{lineno}"))
@@ -185,6 +185,12 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
         raise DrawsError(f"{path}: no draws found")
     return PosteriorSample(draws=draws, label=label)
 
+def load_reference(text: str) -> ReferenceFunction:
+    """The reference a `--ref` text names: `table:<path>`'s file, else parsed."""
+    if text.startswith("table:"):
+        return load_reference_table(text[len("table:"):])
+    return ReferenceFunction.parse(text)
+
 def load_reference_table(path_text: str) -> ReferenceFunction:
     """Read a tabulated reference: `theta,value` rows, optional header row."""
     path = Path(path_text)
@@ -200,7 +206,10 @@ def load_reference_table(path_text: str) -> ReferenceFunction:
         values.append(_parse_number(row[1], f"{path}:{lineno}"))
     if len(grid) < 2:
         raise DrawsError(f"{path}: reference table needs at least two rows")
-    return ReferenceFunction.from_table(grid, values, source=str(path))
+    try:
+        return ReferenceFunction.from_table(grid, values, source=str(path))
+    except DomainError as err:  # a theta column that is not increasing
+        raise DrawsError(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -268,7 +277,10 @@ def format_result(doc: ResultDocument, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 def write_result(doc: ResultDocument, path: str, format: str = "text") -> None:
-    """Write the rendered document to a file with LF line endings."""
-    rendered = format_result(doc, format)
+    """Write the rendered document to a file."""
+    write_text(path, format_result(doc, format))
+
+def write_text(path: str, text: str) -> None:
+    """Write an output file: UTF-8, with LF line endings on every platform."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(rendered)
+        handle.write(text)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fbst import cli
 from fbst.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -108,6 +109,61 @@ class TestPlotCommand:
         assert "delta" in labels
 
 
+def _draws_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return ["--draws", str(path), *BASE[2:]]
+
+
+def _plot_label(tmp_path, argv):
+    """The x-axis label of the plot `fbst plot` draws for these arguments."""
+    out = tmp_path / "p.svg"
+    assert main(["plot", *argv, "--out", str(out)]) == 0
+    labels = [el.text for el in ET.parse(str(out)).getroot().iter()
+              if el.get("class") == "axis-label"]
+    return labels[0]
+
+
+class TestColumnArgument:
+    """--column is handed to the library as text: a header name first, then
+    a zero-based index in a csv file; always a key in a json file."""
+
+    ROWS = [f"{i % 4},{0.4 + 0.001 * i!r}" for i in range(2000)]
+
+    @pytest.mark.parametrize("header,label", [
+        ("chain,1", "1"),  # the header's 1 is a name, not a draw
+        (None, "d"),  # no header: 1 is an index
+        ("step,delta", "delta"),  # a name no cell has: 1 is an index
+    ], ids=["number_in_header", "headerless", "index"])
+    def test_column_one_reads_the_second_column(self, capsys, tmp_path, header, label):
+        argv = _draws_file(tmp_path, "d.csv",
+                           "\n".join(([header] if header else []) + self.ROWS) + "\n")
+        assert main(["test", *argv, "--column", "1", "--output-format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sample_size"] == 2000
+        assert _plot_label(tmp_path, [*argv, "--column", "1"]) == label
+
+    def test_name_beats_index(self, tmp_path):
+        rows = [f"{0.4 + 0.001 * i!r},{i % 4}" for i in range(2000)]
+        argv = _draws_file(tmp_path, "d.csv", "\n".join(["1,chain", *rows]) + "\n")
+        assert _plot_label(tmp_path, [*argv, "--column", "1"]) == "1"
+
+    def test_digit_json_key(self, capsys, tmp_path):
+        payload = {"2020": [0.4 + 0.01 * i for i in range(100)], "x": [0.0] * 100}
+        argv = _draws_file(tmp_path, "d.json", json.dumps(payload))
+        assert main(["test", *argv, "--column", "2020", "--output-format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sample_size"] == 100
+        assert _plot_label(tmp_path, [*argv, "--column", "2020"]) == "2020"
+
+    def test_plot_is_written_by_io(self, monkeypatch, tmp_path):
+        written = []
+        monkeypatch.setattr(cli, "write_text", lambda *args: written.append(args))
+        out = str(tmp_path / "p.svg")
+        assert main(["plot", *BASE, "--out", out]) == 0
+        assert [path for path, _ in written] == [out]
+        assert written[0][1].startswith("<svg")
+
+
 class TestExitCodes:
     def test_usage_missing_dimension(self, capsys):
         _usage_error(["test", "--draws", DRAWS, "--null", "0",
@@ -146,6 +202,13 @@ class TestExitCodes:
     def test_vanishing_reference_is_3(self, capsys):
         assert main(["test", *BASE, "--ref", "normal:mean=0,sd=0.04"]) == 3
         assert "vanishes" in capsys.readouterr().err
+
+    def test_unordered_table_is_2(self, capsys, tmp_path):
+        table = tmp_path / "ref.csv"
+        table.write_text("theta,density\n30,1.0\n-30,1.0\n", encoding="utf-8")
+        assert main(["test", *BASE, "--ref", f"table:{table}"]) == 2
+        assert capsys.readouterr().err == \
+            f"fbst: {table}: tabulated reference grid must be strictly increasing\n"
 
     def test_table_not_covering_grid_is_3(self, capsys, tmp_path):
         table = tmp_path / "ref.csv"
@@ -280,7 +343,7 @@ class TestExitCodes:
          "bad reference descriptor 'normal:mean=0,sd=1,sd=0.5': "
          "parameter 'sd' is given twice\n"),
         (("--column", "7"), None, 2,
-         "fbst: {tmp}/missing.txt: a plain file has no column 7\n"),
+         "fbst: {tmp}/missing.txt: a plain file has no column '7'\n"),
         ((), "abc", 1,
          "fbst: SOURCE_DATE_EPOCH='abc' is not a Unix time in whole seconds\n"),
     ], ids=["dimensions", "grid_size", "bandwidth", "family_scale", "missing_table",

@@ -529,6 +529,10 @@ class TestStandardizedEvalue:
         assert standardized_evalue(0.0, 3, 2) == (0.0, 1.0)
         assert standardized_evalue(1.0, 3, 2) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("k,h", [(1, 0), (3, 2), (8, 7)])
+    def test_zero_evalue_is_exact(self, k, h):
+        assert standardized_evalue(0.0, k, h) == (0.0, 1.0)
+
     def test_complement_structure(self):
         sev_against, sev = standardized_evalue(0.77, 5, 3)
         assert sev_against + sev == pytest.approx(1.0, abs=1e-15)
@@ -627,6 +631,27 @@ class TestFbst:
         with pytest.raises(DomainError, match="null value must be finite"):
             fbst(sample, null, 3, 2)
         assert sample._latest_fit is None
+
+
+class TestIntegerDimensions:
+    @pytest.mark.parametrize("k,h", [(3.5, 2), (3, 2.0), ("3", 2), (3, None)])
+    def test_dimensions_must_be_integers(self, k, h):
+        sample = normal_sample(n=2_000)
+        for call in (lambda: fbst(sample, 0.0, k, h),
+                     lambda: pvalue_evalue(0.5, k, h),
+                     lambda: standardized_evalue(0.5, k, h)):
+            with pytest.raises(DimensionError, match="dimensions must be integers"):
+                call()
+
+    def test_non_integer_grid_size_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="grid_size must be an integer, got 1000.7"):
+            fbst(normal_sample(n=2_000), 0.0, 3, 2, grid_size=1000.7)
+
+    def test_numpy_integers_keep_the_result(self):
+        sample = normal_sample(n=2_000)
+        plain = fbst(sample, 0.0, 3, 2, grid_size=1024)
+        numpy = fbst(sample, 0.0, np.int64(3), np.int32(2), grid_size=np.int64(1024))
+        assert numpy == plain
 
 
 class TestFbstResultInvariants:

@@ -433,6 +433,26 @@ class TestSharedBlocks:
                               kde_fit(sample_of(sample.draws)).values)
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("grid_size", [1000.7, 1024.0, "1024", None])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        sample = sample_of(np.random.default_rng(11).standard_normal(500))
+        with pytest.raises(DomainError, match=f"grid_size must be an integer, got {grid_size!r}$"):
+            kde_fit(sample, grid_size=grid_size)
+
+    def test_kept_fit_does_not_skip_the_check(self):
+        # 1024.0 == 1024, so the kept fit's key would match a float grid size
+        sample = sample_of(np.random.default_rng(11).standard_normal(500))
+        kde_fit(sample)
+        with pytest.raises(DomainError, match="grid_size must be an integer, got 1024.0$"):
+            kde_fit(sample, grid_size=1024.0)
+
+    def test_numpy_integer_grid_size_fits_alike(self):
+        draws = np.random.default_rng(11).standard_normal(500)
+        fit = kde_fit(sample_of(draws), grid_size=np.int32(1000))
+        assert np.array_equal(fit.values, kde_fit(sample_of(draws), grid_size=1000).values)
+
+
 class TestKdeEval:
     @pytest.fixture()
     def est(self):

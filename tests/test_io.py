@@ -1,16 +1,17 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbst import (DimensionError, DrawsError, DrawsFileSpec, PosteriorSample,
-                  ResultDocument, __version__, fbst_pipeline, format_result,
-                  load_draws, write_result)
+from fbst import (DimensionError, DomainError, DrawsError, DrawsFileSpec,
+                  PosteriorSample, ReferenceFunction, ResultDocument, __version__,
+                  fbst_pipeline, format_result, load_draws, write_result)
 import fbst.io
-from fbst.io import load_reference_table
+from fbst.io import load_reference, load_reference_table, write_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +66,16 @@ class TestDrawsFileSpec:
         # raised by the spec itself, so before the file is looked for
         with pytest.raises(DrawsError, match=f"^absent.txt: a plain file has no column {column!r}$"):
             DrawsFileSpec(path="absent.txt", format="plain", column=column)
+
+
+    @pytest.mark.parametrize("name,format", [
+        ("d.csv", "csv"), ("d.CSV", "csv"), ("chain.json", "json"), ("d.Json", "json"),
+        ("d.txt", "plain"), ("draws", "plain"), ("d.csv.gz", "plain")])
+    def test_format_comes_from_the_suffix(self, name, format):
+        assert DrawsFileSpec(name).format == format
+
+    def test_given_format_beats_the_suffix(self):
+        assert DrawsFileSpec("d.txt", "csv").format == "csv"
 
 
 class TestLoadPlain:
@@ -219,6 +230,81 @@ class TestLoadCsv:
         path = _write(tmp_path, "d.csv", "")
         with pytest.raises(DrawsError, match="file is empty"):
             load_draws(DrawsFileSpec(path=path, format="csv"))
+
+
+def _two_columns(header, n=2000):
+    """A header (or none) over n rows of `step,value`; the values, as read."""
+    values = np.random.default_rng(2000).normal(0.4, 1.0, n)
+    lines = [f"{i % 4},{float(v)!r}" for i, v in enumerate(values)]
+    return "\n".join(([header] if header else []) + lines) + "\n", values
+
+
+class TestColumnRule:
+    """A first row is a header when all its cells are text, or when a text
+    cell sits over a number in the row below; a text column names a header
+    cell, else its ASCII digits are a zero-based index."""
+
+    @pytest.mark.parametrize("column", ["1", 1])
+    def test_number_in_header_is_a_name_not_a_draw(self, tmp_path, column):
+        text, values = _two_columns("chain,1")
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column=column))
+        assert sample.label == "1"
+        assert sample.draws.tolist() == values.tolist()
+
+    def test_name_beats_index(self, tmp_path):
+        text, _ = _two_columns("1,chain")
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column="1"))
+        assert sample.label == "1"
+        assert sample.draws.tolist() == [float(i % 4) for i in range(2000)]
+
+    def test_digits_index_a_headerless_file(self, tmp_path):
+        text, values = _two_columns(None)
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column="1"))
+        assert sample.label == "d"
+        assert sample.draws.tolist() == values.tolist()
+
+    def test_digits_index_a_header_that_lacks_them(self, tmp_path):
+        text, values = _two_columns("step,delta")
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column="1"))
+        assert sample.label == "delta"
+        assert sample.draws.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("column", ["\u0661", "+1", " 1", "1.0"])
+    def test_only_ascii_digits_index(self, tmp_path, column):
+        text, _ = _two_columns("step,delta")
+        spec = DrawsFileSpec(_write(tmp_path, "d.csv", text), column=column)
+        with pytest.raises(DrawsError, match=re.escape(f"no column named {column!r} in header") + "$"):
+            load_draws(spec)
+
+    def test_any_text_cell_makes_a_header(self, tmp_path):
+        text, values = _two_columns("NA,0.5")
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column=1))
+        assert sample.label == "0.5"
+        assert sample.n == 2000
+
+    @pytest.mark.parametrize("lead", ["a,", "1,,"], ids=["text_id", "empty_cell"])
+    def test_text_over_text_is_no_header(self, tmp_path, lead):
+        values = np.random.default_rng(2001).normal(0.4, 1.0, 50)
+        text = "".join(f"{lead}{float(v)!r}\n" for v in values)
+        column = lead.count(",")
+        sample = load_draws(DrawsFileSpec(_write(tmp_path, "d.csv", text), column=column))
+        assert sample.label == "d"
+        assert sample.draws.tolist() == values.tolist()
+
+    def test_digit_index_out_of_range(self, tmp_path):
+        text, _ = _two_columns(None)
+        spec = DrawsFileSpec(_write(tmp_path, "d.csv", text), column="2")
+        with pytest.raises(DrawsError, match="column index 2 out of range$"):
+            load_draws(spec)
+
+    def test_digit_json_key_is_a_key(self, tmp_path):
+        payload = {"2020": [0.5 + i / 64 for i in range(40)], "x": [0.0] * 40}
+        path = _write(tmp_path, "d.json", json.dumps(payload))
+        sample = load_draws(DrawsFileSpec(path, column="2020"))
+        assert sample.label == "2020"
+        assert sample.draws.tolist() == payload["2020"]
+        with pytest.raises(DrawsError, match="no array named '0'$"):
+            load_draws(DrawsFileSpec(path, column="0"))
 
 
 def _csv_text(rows=None, header="step,delta", sep=",", end="\n"):
@@ -398,6 +484,32 @@ class TestLoadReferenceTable:
             load_reference_table(path)
 
 
+class TestLoadReference:
+    def test_flat_is_the_shared_instance(self):
+        assert load_reference("flat") is ReferenceFunction.flat()
+
+    def test_family_is_parsed(self):
+        ref = load_reference("normal:mean=0,sd=2.5")
+        assert ref.descriptor == "normal:mean=0,sd=2.5"
+        assert ref.family.family == "normal"
+
+    def test_table_is_read_from_its_file(self, tmp_path):
+        path = _write(tmp_path, "ref.csv", "theta,density\n-1,0.5\n1,0.25\n")
+        ref = load_reference(f"table:{path}")
+        assert ref.grid.tolist() == [-1.0, 1.0]
+        assert ref.descriptor == f"table:{path}"
+
+    def test_bad_descriptor_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="bad reference descriptor 'normal:sd'"):
+            load_reference("normal:sd")
+
+    def test_unordered_table_names_its_file(self, tmp_path):
+        path = _write(tmp_path, "ref.csv", "1,0.5\n-1,0.25\n")
+        message = f"{path}: tabulated reference grid must be strictly increasing"
+        with pytest.raises(DrawsError, match=f"^{re.escape(message)}$"):
+            load_reference(f"table:{path}")
+
+
 _BOM_DRAWS = "\n".join(repr(float(x)) for x in
                        np.random.default_rng(8).normal(0.3, 1.0, 40))
 
@@ -563,3 +675,9 @@ class TestWriteResult:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_result(_doc(), str(tmp_path / "missing" / "out.txt"))
+
+
+def test_write_text_is_utf8_with_lf(tmp_path):
+    path = tmp_path / "out.svg"
+    write_text(str(path), "<svg>\u03b8</svg>\n<!-- end -->\n")
+    assert path.read_bytes() == "<svg>\u03b8</svg>\n<!-- end -->\n".encode("utf-8")
