@@ -16,8 +16,8 @@ import numpy as np
 from .core import ReferenceFunction, check_run, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
-from .io import (FORMATS, DrawsFileSpec, ResultDocument, format_result, load_draws,
-                 load_reference, timestamp_now, write_result, write_text)
+from .io import (FORMATS, DrawsCache, DrawsFileSpec, ResultDocument, format_result,
+                 load_draws, load_reference, timestamp_now, write_result, write_text)
 from .oracle import SEV_FIXTURES, analytic_evalue_flat
 from .special_math import chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
@@ -90,12 +90,16 @@ def _run_pipeline(args, parser: _Parser):
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
     check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
               args.grid_size)
-    sample = load_draws(DrawsFileSpec(args.draws, args.file_format, args.column,
-                                      args.delimiter))
+    spec = DrawsFileSpec(args.draws, args.file_format, args.column, args.delimiter)
+    cache = DrawsCache(spec, (args.bandwidth, args.grid_size))
+    cached = cache.load()  # None on a miss and for a file below the floor
+    sample = cached or load_draws(spec)
     result, surprise = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
         bandwidth=args.bandwidth, grid_size=args.grid_size)
+    if not cached:
+        cache.store(sample, surprise.posterior)
     return sample, result, surprise
 
 

@@ -1,5 +1,5 @@
-"""Ingestion of posterior draws and reference tables from files, and
-serialization of results."""
+"""Ingestion of posterior draws and reference tables from files, the CLI's
+cache of a large draws file's sample and fit, and serialization of results."""
 
 from __future__ import annotations
 
@@ -17,10 +17,13 @@ import numpy as np
 
 from . import __version__
 from .core import FbstResult, ReferenceFunction
-from .density import PosteriorSample
-from .errors import DomainError, DrawsError
+from .density import DensityEstimate, PosteriorSample
+from .errors import DomainError, DrawsError, FbstError
 
 FORMATS = ("csv", "json", "plain")
+CACHE_FLOOR = 1 << 20  # bytes: below it a hit saves under a tenth of a CLI run
+CACHE_ENTRIES = 8
+_CACHE_FAULTS = (OSError, ValueError, EOFError, ImportError, RuntimeError, FbstError)
 
 SUMMARY_HEADER = ("Full Bayesian Significance Test for testing a sharp "
                   "hypothesis against its alternative:")
@@ -184,6 +187,59 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
     if len(draws) == 0:
         raise DrawsError(f"{path}: no draws found")
     return PosteriorSample(draws=draws, label=label)
+
+
+class DrawsCache:
+    """A large draws file's sample and fit kept across runs in one .npy entry, named
+    by a digest of every input that decides them; a step that fails is a miss."""
+
+    def __init__(self, spec: DrawsFileSpec, fit_key: tuple[float | None, int]):
+        self.spec, self.fit_key, self.path = spec, fit_key, None  # path: set once hashed
+
+    def load(self) -> PosteriorSample | None:
+        """The stored sample, its stored fit kept as its latest; None on a miss."""
+        spec = self.spec
+        try:
+            if os.path.getsize(spec.path) < CACHE_FLOOR:
+                return None
+            from _blake2 import blake2b  # hashlib would load OpenSSL: 3.5 MB resident
+            content = blake2b()
+            with open(spec.path, "rb") as handle:
+                for chunk in iter(lambda: handle.read(1 << 16), b""):
+                    content.update(chunk)
+            source = b"".join(map(Path.read_bytes, sorted(Path(__file__).parent.glob("*.py"))))
+            key = repr((content.hexdigest(), blake2b(source).hexdigest(), np.__version__,
+                        spec.format, spec.column, spec.delimiter, Path(spec.path).stem,
+                        self.fit_key)).encode()
+            base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+            self.path = Path(base) / "fbst" / f"{blake2b(key).hexdigest()}.npy"
+            with open(self.path, "rb") as handle:
+                draws, codes, fit = [np.load(handle, allow_pickle=False) for _ in range(3)]
+            sample = PosteriorSample(draws=draws, label="".join(map(chr, codes.astype(int))))
+            sample._freeze(_latest_fit=(self.fit_key, DensityEstimate(
+                *fit[1:].reshape(2, self.fit_key[1]), bandwidth=float(fit[0]))))
+            os.utime(self.path)  # its use, for the entry bound
+            return sample
+        except _CACHE_FAULTS:
+            return None
+
+    def store(self, sample: PosteriorSample, fit: DensityEstimate) -> None:
+        """Write the entry; keep the CACHE_ENTRIES latest used files, a crash's temp too."""
+        if self.path is None:
+            return
+        temp = self.path.with_suffix(f".{os.getpid()}.tmp")
+        try:
+            self.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            with open(temp, "wb") as handle:
+                for array in (sample.draws, np.array(list(map(ord, sample.label)), float),
+                              np.concatenate(([fit.bandwidth], fit.grid, fit.values))):
+                    np.save(handle, array, allow_pickle=False)
+            os.replace(temp, self.path)
+            entries = sorted(self.path.parent.iterdir(), key=os.path.getmtime)
+            for path in entries[:-CACHE_ENTRIES]:
+                path.unlink()
+        except _CACHE_FAULTS:
+            pass
 
 def load_reference(text: str) -> ReferenceFunction:
     """The reference a `--ref` text names: `table:<path>`'s file, else parsed."""

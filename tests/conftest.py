@@ -15,6 +15,15 @@ def two_group_data(data_seed: int = 69) -> TTestData:
                      group2=rng.normal(0.8, 3.0, 18))
 
 
+@pytest.fixture(autouse=True)
+def draws_cache_dir(tmp_path, monkeypatch):
+    """Each test's own cache directory, so no test reads or fills the user's;
+    CLI subprocesses inherit it through the environment."""
+    home = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home / "fbst"
+
+
 @pytest.fixture(scope="session")
 def example_chain():
     """One effect-size chain on the pinned dataset, shared across tests."""

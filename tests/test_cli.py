@@ -5,9 +5,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fbst import cli
+from fbst import cli, density
+from fbst import io as fbst_io
 from fbst.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -285,7 +287,7 @@ class TestExitCodes:
                                      "student_t:location=0,scale=1e-300,df=3"])
     def test_tiny_scale_reference_is_one_line(self, ref):
         proc = subprocess.run([sys.executable, "-W", "default", "-m", "fbst", "test",
-                               *BASE, "--ref", ref], capture_output=True, text=True)
+                               *BASE, "--ref", ref], capture_output=True, encoding="utf-8")
         assert proc.returncode == 3
         assert proc.stderr.startswith("fbst: reference function vanishes on the grid")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
@@ -407,3 +409,210 @@ class TestGoldenFiles:
              "--out", str(out)], capture_output=True)
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == (DATA / "golden_plot.svg").read_bytes()
+
+
+def _entries(cache_dir):
+    return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
+
+
+class TestDrawsCache:
+    """`fbst test` and `fbst plot` keep a large draws file's sample and fit across
+    runs (tests/conftest.py gives each test its own cache directory).  Most tests
+    lower the floor, so that the golden draws take the cached path."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """How many draws files the CLI parsed and how many fits it computed."""
+        counts = {"loads": 0, "fits": 0}
+        load_draws, fill_blocks = cli.load_draws, density._fill_blocks
+
+        def load(spec):
+            counts["loads"] += 1
+            return load_draws(spec)
+
+        def fill(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride):
+            counts["fits"] += first == 0  # the calling thread's share of each fit
+            fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride)
+
+        monkeypatch.setattr(cli, "load_draws", load)
+        monkeypatch.setattr(density, "_fill_blocks", fill)
+        return counts
+
+    @pytest.fixture
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 0)
+
+    @staticmethod
+    def _outputs(capsys, tmp_path, estimator):
+        """Text, JSON and SVG of one test and one plot run."""
+        argv = [*BASE, "--estimator", estimator]
+        runs = [main(["test", *argv]), main(["test", *argv, "--output-format", "json"])]
+        captured = capsys.readouterr()
+        svg = tmp_path / "p.svg"
+        runs.append(main(["plot", *argv, "--out", str(svg)]))
+        assert runs == [0, 0, 0]
+        assert capsys.readouterr().err == ""
+        return captured.out, svg.read_bytes()
+
+    @pytest.mark.parametrize("estimator", ["grid", "mc"])
+    def test_hit_gives_the_bytes_of_a_miss(self, capsys, monkeypatch, tmp_path, counts,
+                                           draws_cache_dir, estimator):
+        uncached = self._outputs(capsys, tmp_path, estimator)
+        assert not _entries(draws_cache_dir)  # the golden draws are below the floor
+        monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 0)
+        assert counts == {"loads": 3, "fits": 3}
+        miss = self._outputs(capsys, tmp_path, estimator)  # its first run fills the cache
+        assert counts == {"loads": 4, "fits": 4}
+        hit = self._outputs(capsys, tmp_path, estimator)
+        assert counts == {"loads": 4, "fits": 4}
+        assert uncached == miss == hit
+        assert len(_entries(draws_cache_dir)) == 1
+        if estimator == "grid":
+            golden = (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+            assert hit[0].startswith(golden)
+            assert hit[1] == (DATA / "golden_plot.svg").read_bytes()
+
+    def test_same_bytes_under_another_stem_are_another_entry(self, tmp_path, no_floor,
+                                                             counts, draws_cache_dir):
+        text = DATA.joinpath("draws.csv").read_text(encoding="utf-8").split("\n", 1)[1]
+        labels = []
+        for stem in ("alpha", "beta", "alpha", "beta"):
+            argv = _draws_file(tmp_path, f"{stem}.txt", text)
+            labels.append(_plot_label(tmp_path, argv))
+        assert labels == ["alpha", "beta", "alpha", "beta"]
+        assert counts["loads"] == 2
+        assert len(_entries(draws_cache_dir)) == 2
+
+    def test_rewritten_file_of_the_same_size_is_a_miss(self, capsys, monkeypatch, tmp_path,
+                                                       no_floor, counts):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "theta.txt"
+        docs = []
+        for _ in range(2):
+            path.write_text("".join(f"{x:.6f}\n" for x in rng.uniform(1.0, 2.0, 500)),
+                            encoding="utf-8")
+            assert path.stat().st_size == 500 * 9
+            docs.append(_json_doc(capsys, ("--draws", str(path))))
+        assert counts["loads"] == 2
+        assert docs[0]["mode_location"] != docs[1]["mode_location"]
+        monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 1 << 20)
+        assert _json_doc(capsys, ("--draws", str(path))) == docs[1]
+
+    @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage"])
+    def test_damaged_entry_is_recomputed_and_rewritten(self, capsys, no_floor, counts,
+                                                       draws_cache_dir, damage):
+        runs = [(main(["test", *BASE]), capsys.readouterr())]
+        [entry] = _entries(draws_cache_dir)
+        good = entry.read_bytes()
+        entry.write_bytes({"truncated_fit": good[:-8], "half": good[:len(good) // 2],
+                           "empty": b"", "garbage": b"\x93NUMPY garbage" * 9}[damage])
+        runs.append((main(["test", *BASE]), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[1][1].err == ""
+        assert counts == {"loads": 2, "fits": 2}
+        assert entry.read_bytes() == good
+
+    def test_unwritable_cache_directory_changes_nothing(self, capsys, monkeypatch,
+                                                        tmp_path, no_floor):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        svg = tmp_path / "p.svg"
+        assert [main(["test", *BASE]), main(["plot", *BASE, "--out", str(svg)])] == [0, 0]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+        assert svg.read_bytes() == (DATA / "golden_plot.svg").read_bytes()
+
+    def test_without_blake2_runs_uncached(self, capsys, monkeypatch, no_floor, counts,
+                                          draws_cache_dir):
+        monkeypatch.setitem(sys.modules, "_blake2", None)  # its import now fails
+        assert [main(["test", *BASE]), main(["test", *BASE])] == [0, 0]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == 2 * (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+        assert counts["loads"] == 2
+        assert not draws_cache_dir.exists()
+
+    @pytest.mark.parametrize("change", ["source", "bandwidth", "grid_size", "column",
+                                        "delimiter"])
+    def test_each_input_of_the_key_is_a_miss(self, capsys, monkeypatch, tmp_path, no_floor,
+                                             counts, draws_cache_dir, change):
+        argv = ["test", *BASE, *{"bandwidth": ("--bandwidth", "0.3"),
+                                 "grid_size": ("--grid-size", "2048"),
+                                 "column": ("--column", "delta"),
+                                 "delimiter": ("--delimiter", ";")}.get(change, ())]
+        assert main(["test", *BASE]) == 0
+        if change == "source":  # the package as a later change to density.py leaves it
+            package = tmp_path / "fbst"
+            package.mkdir()
+            for source in Path(fbst_io.__file__).parent.glob("*.py"):
+                (package / source.name).write_bytes(source.read_bytes())
+            with (package / "density.py").open("a", encoding="utf-8") as handle:
+                handle.write("# changed\n")
+            monkeypatch.setattr(fbst_io, "__file__", str(package / "io.py"))
+        assert [main(argv), main(argv)] == [0, 0]
+        capsys.readouterr()
+        assert counts["loads"] == 2  # the second run of the changed input hits
+        assert len(_entries(draws_cache_dir)) == 2
+
+    def test_entry_bound_keeps_the_newest_used(self, capsys, no_floor, counts,
+                                               draws_cache_dir):
+        def run(grid_size):
+            assert main(["test", *BASE, "--grid-size", str(grid_size)]) == 0
+            assert len(_entries(draws_cache_dir)) <= fbst_io.CACHE_ENTRIES
+            return counts["loads"]
+
+        sizes = [128 + i for i in range(fbst_io.CACHE_ENTRIES + 1)]
+        for size in sizes[:-1]:
+            run(size)
+        loads = run(sizes[0])  # a hit, which makes the oldest entry the newest used
+        assert run(sizes[-1]) == loads + 1  # a miss, which drops sizes[1]'s entry
+        assert len(_entries(draws_cache_dir)) == fbst_io.CACHE_ENTRIES
+        assert run(sizes[0]) == run(sizes[-1]) == loads + 1
+        assert run(sizes[1]) == loads + 2
+        capsys.readouterr()
+
+    def test_file_below_the_floor_makes_no_entry(self, capsys, tmp_path, counts,
+                                                 draws_cache_dir):
+        assert DATA.joinpath("draws.csv").stat().st_size < fbst_io.CACHE_FLOOR
+        assert [main(["test", *BASE]), main(["test", *BASE])] == [0, 0]
+        assert main(["plot", *BASE, "--out", str(tmp_path / "p.svg")]) == 0
+        assert counts["loads"] == 3
+        assert not draws_cache_dir.exists()
+        capsys.readouterr()
+
+    def test_failing_fit_fails_alike_cached_or_not(self, capsys, monkeypatch, tmp_path,
+                                                   draws_cache_dir):
+        rng = np.random.default_rng(0)
+        draws = [*rng.standard_normal(10_000).tolist(), 1e4]  # one stray draw
+        argv = _draws_file(tmp_path, "stray.txt", "".join(f"{x!r}\n" for x in draws))
+        results = []
+        for floor in (1 << 20, 0, 0):
+            monkeypatch.setattr(fbst_io, "CACHE_FLOOR", floor)
+            results.append((main(["test", *argv]), capsys.readouterr()))
+        assert results[0][0] == 3
+        assert results[0][1].err.startswith("fbst: density integrates to ")
+        assert results[0] == results[1] == results[2]
+        assert not _entries(draws_cache_dir)
+
+    def test_cached_run_imports_no_hashlib(self, draws_cache_dir):
+        # hashlib would load OpenSSL, several MB of resident memory per run
+        script = ("import sys; from fbst import cli, io; io.CACHE_FLOOR = 0; "
+                  f"codes = [cli.main(['test', *{BASE!r}]) for _ in range(2)]; "
+                  "print(codes, sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              encoding="utf-8")
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
+        assert len(_entries(draws_cache_dir)) == 1
+
+    def test_large_file_is_kept_across_processes(self, tmp_path, draws_cache_dir):
+        rng = np.random.default_rng(1)
+        argv = _draws_file(tmp_path, "chain.csv", "lp__,theta\n" + "".join(
+            f"{-0.5 * x * x!r},{x!r}\n" for x in rng.standard_normal(30_000).tolist()))
+        assert Path(argv[1]).stat().st_size >= fbst_io.CACHE_FLOOR
+        runs = [subprocess.run([sys.executable, "-m", "fbst", "test", *argv, "--column",
+                                "theta"], capture_output=True) for _ in range(2)]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+        assert runs[0].stdout == runs[1].stdout
+        assert len(_entries(draws_cache_dir)) == 1

@@ -407,8 +407,9 @@ class TestCsvOnePassParse:
         table = np.column_stack([rng.normal(-7, 1, n), rng.uniform(size=n),
                                  rng.normal(0.3, 1.1, n), rng.gamma(2.0, 1.0, n)])
         path = tmp_path / "output.csv"
-        np.savetxt(path, table, fmt="%.6g", delimiter=",", comments="",
-                   header="lp__,accept_stat__,delta,sigma")
+        with path.open("w", encoding="utf-8") as handle:
+            np.savetxt(handle, table, fmt="%.6g", delimiter=",", comments="",
+                       header="lp__,accept_stat__,delta,sigma")
         spec = DrawsFileSpec(path=str(path), format="csv", column="delta")
         took, outcome, streamed = _read_both_ways(monkeypatch, spec)
         assert took
