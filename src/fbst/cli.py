@@ -91,14 +91,14 @@ def _run_pipeline(args, parser: _Parser):
     check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
               args.grid_size)
     spec = DrawsFileSpec(args.draws, args.file_format, args.column, args.delimiter)
-    cache = DrawsCache(spec, (args.bandwidth, args.grid_size))
+    cache = DrawsCache(spec, args.bandwidth, args.grid_size)
     cached = cache.load()  # None on a miss and for a file below the floor
     sample = cached or load_draws(spec)
     result, surprise = fbst_pipeline(
         sample, args.null, args.dim_theta, args.dim_null,
         reference=reference, estimator=estimator,
         bandwidth=args.bandwidth, grid_size=args.grid_size)
-    if not cached:
+    if cached is None:
         cache.store(sample, surprise.posterior)
     return sample, result, surprise
 

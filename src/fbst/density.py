@@ -153,9 +153,8 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     and grid_size returns that same estimate.
     """
     check_fit(bandwidth, grid_size)
-    key = (bandwidth, grid_size)
     latest = sample._latest_fit
-    if latest is not None and latest[0] == key:
+    if latest is not None and latest[0] == (bandwidth, grid_size):
         return latest[1]
     draws = sample.draws
     h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
@@ -194,8 +193,18 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         raise errors[0]
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
     est = DensityEstimate(grid=grid, values=values, bandwidth=h)
-    sample._freeze(_latest_fit=(key, est))
+    keep_fit(sample, est, bandwidth, grid_size)
     return est
+
+
+def keep_fit(sample: PosteriorSample, est: DensityEstimate, bandwidth: float | None,
+             grid_size: int) -> None:
+    """Keep `est` as the fit `kde_fit(sample, bandwidth, grid_size)` returns; with
+    bandwidth None the caller vouches that `est` used Silverman's."""
+    check_fit(bandwidth, grid_size)
+    if est.grid.size != grid_size or bandwidth is not None and est.bandwidth != bandwidth:
+        raise DomainError("the fit has another grid size or bandwidth")
+    sample._freeze(_latest_fit=((bandwidth, grid_size), est))
 
 
 def _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride) -> None:

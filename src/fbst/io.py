@@ -3,6 +3,7 @@ cache of a large draws file's sample and fit, and serialization of results."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import FbstResult, ReferenceFunction
-from .density import DensityEstimate, PosteriorSample
+from .density import DensityEstimate, PosteriorSample, keep_fit
 from .errors import DomainError, DrawsError, FbstError
 
 FORMATS = ("csv", "json", "plain")
@@ -190,56 +191,73 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
 
 
 class DrawsCache:
-    """A large draws file's sample and fit kept across runs in one .npy entry, named
-    by a digest of every input that decides them; a step that fails is a miss."""
+    """A large draws file's sample and fit kept across runs in one .npy entry named by
+    the path and the other inputs that decide them, checked by a digest of the file's
+    bytes.  A first run only marks the file as seen; a step that fails is a miss."""
 
-    def __init__(self, spec: DrawsFileSpec, fit_key: tuple[float | None, int]):
-        self.spec, self.fit_key, self.path = spec, fit_key, None  # path: set once hashed
+    def __init__(self, spec: DrawsFileSpec, bandwidth: float | None, grid_size: int):
+        self.spec, self.bandwidth, self.grid_size = spec, bandwidth, grid_size
+        self.path = self.identity = self.digest = None  # set as load reaches them
 
     def load(self) -> PosteriorSample | None:
         """The stored sample, its stored fit kept as its latest; None on a miss."""
         spec = self.spec
         try:
-            if os.path.getsize(spec.path) < CACHE_FLOOR:
+            stat = os.stat(spec.path)
+            if stat.st_size < CACHE_FLOOR:
                 return None
             from _blake2 import blake2b  # hashlib would load OpenSSL: 3.5 MB resident
+            key = [repr((os.path.abspath(spec.path), spec.format, spec.column,
+                         spec.delimiter, self.bandwidth, self.grid_size,
+                         np.__version__)).encode()]
+            key += map(Path.read_bytes, sorted(Path(__file__).parent.glob("*.py")))
+            base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+            self.path = Path(base) / "fbst" / f"{blake2b(b''.join(key)).hexdigest()}.npy"
+            self.identity = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+            if not self.path.exists():
+                return None  # the file's first run, which store marks with an empty entry
             content = blake2b()
             with open(spec.path, "rb") as handle:
                 for chunk in iter(lambda: handle.read(1 << 16), b""):
                     content.update(chunk)
-            source = b"".join(map(Path.read_bytes, sorted(Path(__file__).parent.glob("*.py"))))
-            key = repr((content.hexdigest(), blake2b(source).hexdigest(), np.__version__,
-                        spec.format, spec.column, spec.delimiter, Path(spec.path).stem,
-                        self.fit_key)).encode()
-            base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-            self.path = Path(base) / "fbst" / f"{blake2b(key).hexdigest()}.npy"
+            self.digest = content.digest()
+            with contextlib.suppress(OSError):
+                os.utime(self.path)  # its use, for the entry bound
             with open(self.path, "rb") as handle:
-                draws, codes, fit = [np.load(handle, allow_pickle=False) for _ in range(3)]
-            sample = PosteriorSample(draws=draws, label="".join(map(chr, codes.astype(int))))
-            sample._freeze(_latest_fit=(self.fit_key, DensityEstimate(
-                *fit[1:].reshape(2, self.fit_key[1]), bandwidth=float(fit[0]))))
-            os.utime(self.path)  # its use, for the entry bound
+                digest, draws, label, fit = [np.load(handle, allow_pickle=False)
+                                             for _ in range(4)]
+            if digest.tobytes() != self.digest:
+                return None
+            sample = PosteriorSample(draws=draws, label="".join(map(chr, label)))
+            grid, values = fit[1:].reshape(2, -1)
+            keep_fit(sample, DensityEstimate(grid, values, float(fit[0])), self.bandwidth,
+                     self.grid_size)
             return sample
         except _CACHE_FAULTS:
             return None
 
     def store(self, sample: PosteriorSample, fit: DensityEstimate) -> None:
-        """Write the entry; keep the CACHE_ENTRIES latest used files, a crash's temp too."""
-        if self.path is None:
-            return
-        temp = self.path.with_suffix(f".{os.getpid()}.tmp")
+        """Write the entry, unless the file changed since load; keep the CACHE_ENTRIES
+        latest used files."""
         try:
+            stat = os.stat(self.spec.path)
+            if self.identity != (stat.st_size, stat.st_mtime_ns, stat.st_ino):
+                return
             self.path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            temp = self.path.with_suffix(f".{os.getpid()}.tmp")
             with open(temp, "wb") as handle:
-                for array in (sample.draws, np.array(list(map(ord, sample.label)), float),
-                              np.concatenate(([fit.bandwidth], fit.grid, fit.values))):
-                    np.save(handle, array, allow_pickle=False)
+                if self.digest is not None:  # else an empty entry marks a first run
+                    for array in (np.frombuffer(self.digest, np.uint8), sample.draws,
+                                  np.array(list(map(ord, sample.label))),
+                                  np.hstack((fit.bandwidth, fit.grid, fit.values))):
+                        np.save(handle, array, allow_pickle=False)
             os.replace(temp, self.path)
             entries = sorted(self.path.parent.iterdir(), key=os.path.getmtime)
-            for path in entries[:-CACHE_ENTRIES]:
+            for path in entries[:-CACHE_ENTRIES]:  # a crash's temp file too
                 path.unlink()
         except _CACHE_FAULTS:
             pass
+
 
 def load_reference(text: str) -> ReferenceFunction:
     """The reference a `--ref` text names: `table:<path>`'s file, else parsed."""

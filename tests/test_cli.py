@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -417,8 +418,9 @@ def _entries(cache_dir):
 
 class TestDrawsCache:
     """`fbst test` and `fbst plot` keep a large draws file's sample and fit across
-    runs (tests/conftest.py gives each test its own cache directory).  Most tests
-    lower the floor, so that the golden draws take the cached path."""
+    runs (tests/conftest.py gives each test its own cache directory).  A file's
+    first run leaves an empty entry, its second run fills it and later runs hit.
+    Most tests lower the floor, so that the golden draws take the cached path."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -461,77 +463,122 @@ class TestDrawsCache:
         assert not _entries(draws_cache_dir)  # the golden draws are below the floor
         monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 0)
         assert counts == {"loads": 3, "fits": 3}
-        miss = self._outputs(capsys, tmp_path, estimator)  # its first run fills the cache
-        assert counts == {"loads": 4, "fits": 4}
+        first = self._outputs(capsys, tmp_path, estimator)  # marks, fills, then hits
+        assert counts == {"loads": 5, "fits": 5}
         hit = self._outputs(capsys, tmp_path, estimator)
-        assert counts == {"loads": 4, "fits": 4}
-        assert uncached == miss == hit
+        assert counts == {"loads": 5, "fits": 5}
+        assert uncached == first == hit
         assert len(_entries(draws_cache_dir)) == 1
         if estimator == "grid":
             golden = (DATA / "golden_summary.txt").read_text(encoding="utf-8")
             assert hit[0].startswith(golden)
             assert hit[1] == (DATA / "golden_plot.svg").read_bytes()
 
+    def test_one_run_leaves_an_empty_entry(self, capsys, no_floor, counts, draws_cache_dir):
+        assert main(["test", *BASE]) == 0
+        capsys.readouterr()
+        [entry] = _entries(draws_cache_dir)
+        assert entry.read_bytes() == b""
+        assert counts == {"loads": 1, "fits": 1}
+
     def test_same_bytes_under_another_stem_are_another_entry(self, tmp_path, no_floor,
                                                              counts, draws_cache_dir):
         text = DATA.joinpath("draws.csv").read_text(encoding="utf-8").split("\n", 1)[1]
         labels = []
-        for stem in ("alpha", "beta", "alpha", "beta"):
+        for stem in ("alpha", "beta") * 3:
             argv = _draws_file(tmp_path, f"{stem}.txt", text)
             labels.append(_plot_label(tmp_path, argv))
-        assert labels == ["alpha", "beta", "alpha", "beta"]
-        assert counts["loads"] == 2
+        assert labels == ["alpha", "beta"] * 3
+        assert counts["loads"] == 4
         assert len(_entries(draws_cache_dir)) == 2
 
-    def test_rewritten_file_of_the_same_size_is_a_miss(self, capsys, monkeypatch, tmp_path,
-                                                       no_floor, counts):
+    def test_rewritten_file_of_the_same_size_and_time_is_a_miss(self, capsys, monkeypatch,
+                                                                tmp_path, no_floor, counts):
         rng = np.random.default_rng(5)
         path = tmp_path / "theta.txt"
         docs = []
         for _ in range(2):
+            before = path.stat() if path.exists() else None
             path.write_text("".join(f"{x:.6f}\n" for x in rng.uniform(1.0, 2.0, 500)),
                             encoding="utf-8")
+            if before:  # as `cp -p` leaves it
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+                assert path.stat().st_mtime_ns == before.st_mtime_ns
             assert path.stat().st_size == 500 * 9
-            docs.append(_json_doc(capsys, ("--draws", str(path))))
-        assert counts["loads"] == 2
-        assert docs[0]["mode_location"] != docs[1]["mode_location"]
+            docs.append([_json_doc(capsys, ("--draws", str(path))) for _ in range(3)])
+        assert counts["loads"] == 3  # the second file's first run checks the digest
+        assert docs[0][0] == docs[0][2] and docs[1][0] == docs[1][2]
+        assert docs[0][0]["mode_location"] != docs[1][0]["mode_location"]
         monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 1 << 20)
-        assert _json_doc(capsys, ("--draws", str(path))) == docs[1]
+        assert _json_doc(capsys, ("--draws", str(path))) == docs[1][0]
+
+    def test_file_changed_during_a_run_is_not_kept(self, capsys, monkeypatch, tmp_path,
+                                                   no_floor, counts, draws_cache_dir):
+        draws = np.random.default_rng(6).standard_normal(400).tolist()
+        text = "".join(f"{x!r}\n" for x in draws)
+        argv = ["test", *_draws_file(tmp_path, "chain.txt", text)]
+        pipeline = cli.fbst_pipeline
+
+        def append_then_run(*args, **kwargs):  # as a sampler still writing its file
+            with open(argv[2], "a", encoding="utf-8") as handle:
+                handle.write("0.5\n")
+            return pipeline(*args, **kwargs)
+
+        assert main(argv) == 0
+        monkeypatch.setattr(cli, "fbst_pipeline", append_then_run)
+        assert main(argv) == 0
+        [entry] = _entries(draws_cache_dir)
+        assert entry.read_bytes() == b""
+        monkeypatch.setattr(cli, "fbst_pipeline", pipeline)
+        assert [main(argv), main(argv)] == [0, 0]
+        assert counts["loads"] == 3
+        assert entry.read_bytes() != b""
+        capsys.readouterr()
 
     @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage"])
     def test_damaged_entry_is_recomputed_and_rewritten(self, capsys, no_floor, counts,
                                                        draws_cache_dir, damage):
-        runs = [(main(["test", *BASE]), capsys.readouterr())]
+        runs = [(main(["test", *BASE]), capsys.readouterr()) for _ in range(2)]
         [entry] = _entries(draws_cache_dir)
         good = entry.read_bytes()
         entry.write_bytes({"truncated_fit": good[:-8], "half": good[:len(good) // 2],
                            "empty": b"", "garbage": b"\x93NUMPY garbage" * 9}[damage])
         runs.append((main(["test", *BASE]), capsys.readouterr()))
-        assert runs[0] == runs[1]
-        assert runs[1][1].err == ""
-        assert counts == {"loads": 2, "fits": 2}
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[2][1].err == ""
+        assert counts == {"loads": 3, "fits": 3}
         assert entry.read_bytes() == good
 
-    def test_unwritable_cache_directory_changes_nothing(self, capsys, monkeypatch,
-                                                        tmp_path, no_floor):
+    def test_unwritable_cache_changes_nothing(self, capsys, monkeypatch, tmp_path, no_floor,
+                                              counts):
+        golden = (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+        svg = tmp_path / "p.svg"
+        assert [main(["test", *BASE]) for _ in range(2)] == [0, 0]  # fills the entry
+
+        def refuse(*args, **kwargs):  # as a read-only entry or directory would
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(fbst_io.os, "utime", refuse)
+        monkeypatch.setattr(fbst_io.os, "replace", refuse)
+        assert main(["test", *BASE]) == 0
+        assert counts["loads"] == 2  # still a hit
         blocker = tmp_path / "a-file"
         blocker.write_text("", encoding="utf-8")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        svg = tmp_path / "p.svg"
         assert [main(["test", *BASE]), main(["plot", *BASE, "--out", str(svg)])] == [0, 0]
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+        assert captured.out == 4 * golden
         assert svg.read_bytes() == (DATA / "golden_plot.svg").read_bytes()
 
     def test_without_blake2_runs_uncached(self, capsys, monkeypatch, no_floor, counts,
                                           draws_cache_dir):
         monkeypatch.setitem(sys.modules, "_blake2", None)  # its import now fails
-        assert [main(["test", *BASE]), main(["test", *BASE])] == [0, 0]
+        assert [main(["test", *BASE]) for _ in range(3)] == [0, 0, 0]
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == 2 * (DATA / "golden_summary.txt").read_text(encoding="utf-8")
-        assert counts["loads"] == 2
+        assert captured.out == 3 * (DATA / "golden_summary.txt").read_text(encoding="utf-8")
+        assert counts["loads"] == 3
         assert not draws_cache_dir.exists()
 
     @pytest.mark.parametrize("change", ["source", "bandwidth", "grid_size", "column",
@@ -542,7 +589,7 @@ class TestDrawsCache:
                                  "grid_size": ("--grid-size", "2048"),
                                  "column": ("--column", "delta"),
                                  "delimiter": ("--delimiter", ";")}.get(change, ())]
-        assert main(["test", *BASE]) == 0
+        assert [main(["test", *BASE]) for _ in range(2)] == [0, 0]
         if change == "source":  # the package as a later change to density.py leaves it
             package = tmp_path / "fbst"
             package.mkdir()
@@ -551,9 +598,9 @@ class TestDrawsCache:
             with (package / "density.py").open("a", encoding="utf-8") as handle:
                 handle.write("# changed\n")
             monkeypatch.setattr(fbst_io, "__file__", str(package / "io.py"))
-        assert [main(argv), main(argv)] == [0, 0]
+        assert [main(argv) for _ in range(3)] == [0, 0, 0]
         capsys.readouterr()
-        assert counts["loads"] == 2  # the second run of the changed input hits
+        assert counts["loads"] == 4  # the changed input's third run hits
         assert len(_entries(draws_cache_dir)) == 2
 
     def test_entry_bound_keeps_the_newest_used(self, capsys, no_floor, counts,
@@ -565,12 +612,12 @@ class TestDrawsCache:
 
         sizes = [128 + i for i in range(fbst_io.CACHE_ENTRIES + 1)]
         for size in sizes[:-1]:
-            run(size)
+            run(size), run(size)  # marks, then fills its entry
         loads = run(sizes[0])  # a hit, which makes the oldest entry the newest used
-        assert run(sizes[-1]) == loads + 1  # a miss, which drops sizes[1]'s entry
+        assert run(sizes[-1]) == loads + 1  # a first run, whose mark drops sizes[1]'s entry
         assert len(_entries(draws_cache_dir)) == fbst_io.CACHE_ENTRIES
-        assert run(sizes[0]) == run(sizes[-1]) == loads + 1
-        assert run(sizes[1]) == loads + 2
+        assert run(sizes[0]) == loads + 1
+        assert run(sizes[1]) == loads + 2  # a first run again
         capsys.readouterr()
 
     def test_file_below_the_floor_makes_no_entry(self, capsys, tmp_path, counts,
@@ -588,22 +635,22 @@ class TestDrawsCache:
         draws = [*rng.standard_normal(10_000).tolist(), 1e4]  # one stray draw
         argv = _draws_file(tmp_path, "stray.txt", "".join(f"{x!r}\n" for x in draws))
         results = []
-        for floor in (1 << 20, 0, 0):
+        for floor in (1 << 20, 0, 0, 0):
             monkeypatch.setattr(fbst_io, "CACHE_FLOOR", floor)
             results.append((main(["test", *argv]), capsys.readouterr()))
         assert results[0][0] == 3
         assert results[0][1].err.startswith("fbst: density integrates to ")
-        assert results[0] == results[1] == results[2]
+        assert results.count(results[0]) == 4
         assert not _entries(draws_cache_dir)
 
     def test_cached_run_imports_no_hashlib(self, draws_cache_dir):
         # hashlib would load OpenSSL, several MB of resident memory per run
         script = ("import sys; from fbst import cli, io; io.CACHE_FLOOR = 0; "
-                  f"codes = [cli.main(['test', *{BASE!r}]) for _ in range(2)]; "
+                  f"codes = [cli.main(['test', *{BASE!r}]) for _ in range(3)]; "
                   "print(codes, sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               encoding="utf-8")
-        assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stderr
         assert len(_entries(draws_cache_dir)) == 1
 
     def test_large_file_is_kept_across_processes(self, tmp_path, draws_cache_dir):
@@ -612,7 +659,8 @@ class TestDrawsCache:
             f"{-0.5 * x * x!r},{x!r}\n" for x in rng.standard_normal(30_000).tolist()))
         assert Path(argv[1]).stat().st_size >= fbst_io.CACHE_FLOOR
         runs = [subprocess.run([sys.executable, "-m", "fbst", "test", *argv, "--column",
-                                "theta"], capture_output=True) for _ in range(2)]
-        assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
-        assert runs[0].stdout == runs[1].stdout
-        assert len(_entries(draws_cache_dir)) == 1
+                                "theta"], capture_output=True) for _ in range(3)]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 3
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+        [entry] = _entries(draws_cache_dir)
+        assert entry.stat().st_size > 30_000 * 8
