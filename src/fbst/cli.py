@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import ReferenceFunction, check_run, fbst_pipeline, standardized_evalue
+from .core import check_run, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 from .io import (FORMATS, DrawsCache, DrawsFileSpec, ResultDocument, format_result,
@@ -79,14 +79,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_reference(text: str, parser: _Parser) -> ReferenceFunction:
+def _run_pipeline(args, parser: _Parser):
     try:
-        return load_reference(text)
+        reference = load_reference(args.ref)
     except DomainError as err:
         parser.error(str(err))
-
-def _run_pipeline(args, parser: _Parser):
-    reference = _parse_reference(args.ref, parser)
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
     check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
               args.grid_size)

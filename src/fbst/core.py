@@ -19,7 +19,7 @@ import numpy as np
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
                       check_fit, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
-from .special_math import DensityFamily, chisq_cdf, chisq_quantile, density_eval
+from .special_math import DensityFamily, chisq_cdf, chisq_quantile, chisq_sf, density_eval
 
 ESTIMATORS = ("grid", "monte_carlo")
 _MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
@@ -245,7 +245,7 @@ def pvalue_evalue(relative_null_ratio: float, k: int, h: int) -> float:
         raise DomainError(
             f"relative null ratio must lie in (0, 1], got {relative_null_ratio}")
     ratio = min(float(relative_null_ratio), 1.0)
-    return 1.0 - chisq_cdf(-2.0 * math.log(ratio), k - h)
+    return chisq_sf(-2.0 * math.log(ratio), k - h)
 
 
 def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float]:

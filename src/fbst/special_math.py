@@ -90,6 +90,13 @@ def chisq_cdf(x: float, df: float) -> float:
         raise DomainError(f"chi-square argument must be nonnegative, got {x}")
     return reg_lower_incomplete_gamma(df / 2.0, x / 2.0)
 
+def chisq_sf(x: float, df: float) -> float:
+    """Chi-square upper tail 1 - F_df(x): the continued fraction's own Q where P(df/2,
+    x/2) comes from it, so a tail far below 1e-16 keeps its relative accuracy."""
+    if df > 0 and x / 2.0 >= df / 2.0 + 1.0:
+        return _gamma_cont_fraction(df / 2.0, x / 2.0)
+    return 1.0 - chisq_cdf(x, df)  # which checks the arguments
+
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse of chisq_cdf in p, by bracketed third-order (Chebyshev) steps from
     the Wilson-Hilferty cube df (1 - c + z sqrt(c))^3 (c = 2/(9 df), z ~ the normal

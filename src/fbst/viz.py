@@ -79,15 +79,9 @@ def render_fbst_plot(s: SurpriseFunction, spec: PlotSpec) -> str:
             f"boundaries leave nothing of the grid span "
             f"[{grid[0]:g}, {grid[-1]:g}] to display")
 
-    inside = (grid >= x_lo) & (grid <= x_hi)
-    xs = grid[inside]
-    ys = values[inside]
-    if xs.size == 0 or xs[0] > x_lo:
-        xs = np.concatenate(([x_lo], xs))
-        ys = np.concatenate(([np.interp(x_lo, grid, values)], ys))
-    if xs[-1] < x_hi:
-        xs = np.concatenate((xs, [x_hi]))
-        ys = np.concatenate((ys, [np.interp(x_hi, grid, values)]))
+    # the window's ends and the nodes inside it; interp gives a node its own value
+    xs = np.concatenate(([x_lo], grid[(x_lo < grid) & (grid < x_hi)], [x_hi]))
+    ys = np.interp(xs, grid, values)
 
     # classify each display segment by the original segment containing it
     mids = 0.5 * (xs[1:] + xs[:-1])
@@ -123,10 +117,8 @@ def render_fbst_plot(s: SurpriseFunction, spec: PlotSpec) -> str:
     ]
 
     base_y = _px(to_y(0.0))
-    start = 0
-    for stop in range(1, seg_member.size + 1):
-        if stop < seg_member.size and seg_member[stop] == seg_member[start]:
-            continue
+    stops = [*(np.flatnonzero(seg_member[1:] != seg_member[:-1]) + 1), seg_member.size]
+    for start, stop in zip([0, *stops], stops):  # one polygon per run of segments
         run_x = xs[start:stop + 1]
         run_y = ys[start:stop + 1]
         points = " ".join(f"{_px(to_x(x))},{_px(to_y(y))}"
@@ -138,7 +130,6 @@ def render_fbst_plot(s: SurpriseFunction, spec: PlotSpec) -> str:
             cls, color = "fill-complement", _COLOR_COMPLEMENT
         parts.append(f'<polygon class="{cls}" points="{points}" '
                      f'fill="{color}" fill-opacity="0.6" stroke="none"/>')
-        start = stop
 
     curve = " ".join(f"{_px(to_x(x))},{_px(to_y(y))}" for x, y in zip(xs, ys))
     parts.append(f'<polyline class="surprise-curve" points="{curve}" '

@@ -76,6 +76,18 @@ class TestTestCommand:
     def test_grid_size_flag(self, capsys):
         assert _json_doc(capsys, ("--grid-size", "256"))["grid_size"] == 256
 
+    def test_small_runs_import_no_thread_pool_or_masked_arrays(self, tmp_path):
+        # Each takes 5-14 ms to import.  Only a fit of more than _SHARED_TERMS
+        # kernel terms (the golden's has fewer) needs concurrent.futures, and
+        # numpy imports numpy.ma on a first np.unique, which plots do without.
+        script = ("import sys; from fbst import cli; "
+                  f"codes = [cli.main(['test', *{BASE!r}]), "
+                  f"cli.main(['plot', *{BASE!r}, '--out', {str(tmp_path / 'p.svg')!r}])]; "
+                  "print(codes, sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              encoding="utf-8")
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr
+
 
 class TestPlotCommand:
     def test_writes_parseable_svg(self, tmp_path):
@@ -459,6 +471,8 @@ class TestDrawsCache:
     @pytest.mark.parametrize("estimator", ["grid", "mc"])
     def test_hit_gives_the_bytes_of_a_miss(self, capsys, monkeypatch, tmp_path, counts,
                                            draws_cache_dir, estimator):
+        # one JSON timestamp for every run, whatever second each run falls in
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         uncached = self._outputs(capsys, tmp_path, estimator)
         assert not _entries(draws_cache_dir)  # the golden draws are below the floor
         monkeypatch.setattr(fbst_io, "CACHE_FLOOR", 0)

@@ -494,6 +494,11 @@ class TestPvalueEvalue:
     def test_vanishing_ratio_limit(self):
         assert pvalue_evalue(1e-300, 3, 2) < 1e-12
 
+    def test_upper_tail_keeps_relative_accuracy(self):
+        # P(chi2_1 > 80) = erfc(sqrt(40)), far below the float spacing at 1
+        assert pvalue_evalue(math.exp(-40.0), 1, 0) == pytest.approx(
+            math.erfc(math.sqrt(40.0)), rel=1e-12, abs=0.0)
+
     def test_example1_fixture(self):
         # inverting the printed p-value 0.1461029 at k=3, h=2 gives this ratio
         assert pvalue_evalue(0.347761892566, 3, 2) \

@@ -141,6 +141,35 @@ class TestChisqCdf:
             chisq_cdf(1.0, 0.0)
 
 
+class TestChisqSf:
+    XS = [0.0, *np.geomspace(1e-3, 1400.0, 120)]
+
+    def test_df1_erfc_to_1400(self):
+        for x in self.XS:
+            assert special_math.chisq_sf(x, 1.0) == pytest.approx(
+                math.erfc(math.sqrt(x / 2.0)), rel=1e-12, abs=0.0)
+
+    def test_df2_exp_to_1400(self):
+        for x in self.XS:
+            assert special_math.chisq_sf(x, 2.0) == pytest.approx(
+                math.exp(-x / 2.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [0.5, 1, 2, 3, 7, 50])
+    def test_one_minus_cdf_below_the_fraction_and_near_it_above(self, df):
+        for x in np.linspace(0.0, df + 2.0 + 60.0, 400):
+            tail, rest = special_math.chisq_sf(x, df), 1.0 - chisq_cdf(x, df)
+            if x / 2.0 < df / 2.0 + 1.0:
+                assert tail == rest  # the same bits as before the upper tail
+            else:
+                assert abs(tail - rest) <= 1.2e-16
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            special_math.chisq_sf(-1.0, 3.0)
+        with pytest.raises(DomainError):
+            special_math.chisq_sf(5.0, 0.0)
+
+
 class TestChisqQuantile:
     def test_zero_quantile(self):
         assert chisq_quantile(0.0, 5.0) == 0.0

@@ -1,12 +1,16 @@
+import hashlib
+import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbst import (PlotError, PlotSpec, PosteriorSample, ReferenceFunction,
-                  fbst_pipeline, render_fbst_plot, surprise_fit)
+from fbst import (DrawsFileSpec, PlotError, PlotSpec, PosteriorSample, ReferenceFunction,
+                  fbst_pipeline, load_draws, render_fbst_plot, surprise_fit)
 
 SVG = "{http://www.w3.org/2000/svg}"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +150,95 @@ class TestValidation:
         with pytest.raises(PlotError, match="leave nothing"):
             _render(fitted, left_boundary=50.0, right_boundary=60.0)
 
+
+# Cropped windows of the golden plot, each end as a fractional grid index: a
+# whole index is that node, a fraction lies between two nodes, and an index
+# past either end lies that many grid steps beyond the span.  The digests are
+# SHA-256 of the rendered bytes.
+CROPPED_DIGESTS = {
+    # (left index, right index, cutoff line): digest
+    (300, None, True):
+        "08cb9c39f7be0a975204bf3d87e2965856af7417f04edf4cfacf3611ae976116",
+    (300, None, False):
+        "86650b6fa26dde46d7891d1c9887e744edf314fb055d9d72a20f76a1510e05f0",
+    (300.375, None, True):
+        "0a310fb164b1320c17e522b4fcad6ea506af8c4e7d774d3ef27916d7f63dae88",
+    (300.375, None, False):
+        "3860b3daa34e255834c52c6b1af12da209e54271f20c769b3ae92ffeb0cf5692",
+    (-5, None, True):
+        "46de4f89233b75f4f630f9492aaf29cd003e01a86b9f13814006d6f8c8c333dd",
+    (-5, None, False):
+        "98ac6b2155b3559d29298f3f7bee7bde13c397038acf68bf655043faeb40c7e2",
+    (None, 700, True):
+        "eec2046055ab759c1c465c9752cf7fe24f87d6f7eaf41fbc34ac1c7fc228421e",
+    (None, 700, False):
+        "34dee99569a402e6b13d028eec73e9f3c4d84e50d996bb0f68ad31783e27299d",
+    (None, 700.375, True):
+        "b58bbf3bcd9579f507b044f838a8cae25d841626ae06a71b10733ccfb0efda57",
+    (None, 700.375, False):
+        "deb6872f655c9da040e05eedcfc79b97473991c72c6d1295b540fa770707d5f7",
+    (None, 1030, True):
+        "46de4f89233b75f4f630f9492aaf29cd003e01a86b9f13814006d6f8c8c333dd",
+    (None, 1030, False):
+        "98ac6b2155b3559d29298f3f7bee7bde13c397038acf68bf655043faeb40c7e2",
+    (300, 700, True):
+        "7b154360856064ba5c076cef5648658721cbc78d0dbc0468a0b24479451d84ad",
+    (300, 700, False):
+        "48663d815639ae977df19d775ccbf5e2ff88ad765f87d61ae8d1e7f7853a4ea5",
+    (300.375, 700.625, True):
+        "24f5ab2adcddf9ab776c77b8502ed207a009f571e630b4e44fdb4e2ba7278f99",
+    (300.375, 700.625, False):
+        "b9873a6db0d18e2292b87c7ad4773b2e9cc29fd1d1fc8160d6aafcb9ed2225fd",
+    (500.25, 500.75, True):
+        "f1ec2e62db90956b360c8b9c573f2b3a78b34c8c520d354823ea0dc89e66fd6a",
+    (500.25, 500.75, False):
+        "da214c526d69041389feb3da90a3c9f54aa1100835162abd6b16fbd26dddb76b",
+    (500, 501, True):
+        "25f6efc550f68ae6053b70a164a3d1000e4090106cc7ca134d57289fc13a4d1d",
+    (500, 501, False):
+        "4842a8d7d6719b503e758726c7955a70ed42a5b6178addd34fa0bc25429c32c8",
+    (-5, 1030, True):
+        "46de4f89233b75f4f630f9492aaf29cd003e01a86b9f13814006d6f8c8c333dd",
+    (-5, 1030, False):
+        "98ac6b2155b3559d29298f3f7bee7bde13c397038acf68bf655043faeb40c7e2",
+    (0, 1023, True):
+        "46de4f89233b75f4f630f9492aaf29cd003e01a86b9f13814006d6f8c8c333dd",
+    (0, 1023, False):
+        "98ac6b2155b3559d29298f3f7bee7bde13c397038acf68bf655043faeb40c7e2",
+    (371.5, 683.5, True):
+        "80616cb9a8d488aea8b57fb7f7f165edc62e1be84e34fa802455515fae45696f",
+    (371.5, 683.5, False):
+        "ace8865264f30f72acc9b84aaf84652a7cd9e86f67f0a6764575865ee29a30e7",
+    (372, 683, True):
+        "ef18094db8c49cd3d47d8e58ac4700aaab46bfdebb2a5ee003352de10e7fe978",
+    (372, 683, False):
+        "9645f04b6948abb9fafbe8cf90dd66bdc147833e488ee239116148371b458054",
+}
+
+
+def _window_end(grid, index):
+    if index is None:
+        return None
+    if not 0 <= index <= grid.size - 1:
+        return float(grid[0] + index * (grid[1] - grid[0]))
+    node = math.floor(index)
+    if node == index:
+        return float(grid[node])
+    return float(grid[node] + (index - node) * (grid[node + 1] - grid[node]))
+
+
+@pytest.fixture(scope="module")
+def golden_fit():
+    sample = load_draws(DrawsFileSpec(path=str(DATA / "draws.csv"), format="csv"))
+    return sample.label, fbst_pipeline(sample, 0.0, 3, 2)[1]
+
+
+class TestCroppedWindowBytes:
+    @pytest.mark.parametrize("left,right,cutoff", list(CROPPED_DIGESTS), ids=repr)
+    def test_bytes_are_pinned(self, golden_fit, left, right, cutoff):
+        label, surprise = golden_fit
+        spec = PlotSpec(left_boundary=_window_end(surprise.grid, left),
+                        right_boundary=_window_end(surprise.grid, right),
+                        show_cutoff_line=cutoff, x_label=label)
+        svg = render_fbst_plot(surprise, spec).encode("utf-8")
+        assert hashlib.sha256(svg).hexdigest() == CROPPED_DIGESTS[left, right, cutoff]
