@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,16 +177,20 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if draws.size * (2.0 * _RADIUS * per_node + nodes) > _SHARED_TERMS:
         affinity = getattr(os, "sched_getaffinity", None)  # cores this process may use
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    errors = []
     def fill(first: int) -> None:
-        _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, workers)
-    if workers == 1:
-        fill(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # 5-13 ms to import: only here
-        with ThreadPoolExecutor(workers - 1) as pool:
-            shares = pool.map(fill, range(1, workers))
-            fill(0)  # the calling thread's share
-        list(shares)  # raises a worker's error, once every share is done
+        try:
+            _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, workers)
+        except BaseException as err:  # raised below, once every thread is done
+            errors.append(err)
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    fill(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
     est = DensityEstimate(grid=grid, values=values, bandwidth=h)
     keep_fit(sample, est, bandwidth, grid_size)

@@ -1,9 +1,10 @@
 """Chi-square special functions and reference density families.
 
-The chi-square CDF is built on the regularized lower incomplete gamma
-function P(a, x), evaluated by a series expansion for x < a + 1 and by a
-continued fraction otherwise.  Quantiles invert the CDF from a close start
-to a relative tolerance.  Everything here is pure and thread-safe.
+The chi-square CDF and upper tail are built on the regularized incomplete
+gamma functions P(a, x) and Q(a, x) = 1 - P(a, x): a series expansion gives
+P for x < a + 1, and a continued fraction gives Q otherwise.  Quantiles
+invert the CDF from a close start to a relative tolerance.  Everything here
+is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -56,17 +57,22 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
-def reg_lower_incomplete_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    # (P, Q): the series gives P for x < a + 1, the continued fraction Q from
+    # there on, and the other tail is 1 minus it
     if a <= 0:
         raise DomainError(f"shape parameter must be positive, got {a}")
     if x < 0:
         raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0:
-        return 0.0
     if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cont_fraction(a, x)
+        p = _gamma_series(a, x) if x > 0 else 0.0
+        return p, 1.0 - p
+    q = _gamma_cont_fraction(a, x)
+    return 1.0 - q, q
+
+def reg_lower_incomplete_gamma(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x)."""
+    return _gamma_tails(a, x)[0]
 
 def chisq_pdf(x: float, df: float) -> float:
     """Chi-square density with df degrees of freedom."""
@@ -82,20 +88,21 @@ def chisq_pdf(x: float, df: float) -> float:
     return math.exp((half - 1.0) * math.log(x) - x / 2.0
                     - math.lgamma(half) - half * math.log(2.0))
 
-def chisq_cdf(x: float, df: float) -> float:
-    """Chi-square CDF F_df(x) = P(df/2, x/2)."""
+def _chisq_tails(x: float, df: float) -> tuple[float, float]:
     if df <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if x < 0:
         raise DomainError(f"chi-square argument must be nonnegative, got {x}")
-    return reg_lower_incomplete_gamma(df / 2.0, x / 2.0)
+    return _gamma_tails(df / 2.0, x / 2.0)
+
+def chisq_cdf(x: float, df: float) -> float:
+    """Chi-square CDF F_df(x) = P(df/2, x/2)."""
+    return _chisq_tails(x, df)[0]
 
 def chisq_sf(x: float, df: float) -> float:
-    """Chi-square upper tail 1 - F_df(x): the continued fraction's own Q where P(df/2,
-    x/2) comes from it, so a tail far below 1e-16 keeps its relative accuracy."""
-    if df > 0 and x / 2.0 >= df / 2.0 + 1.0:
-        return _gamma_cont_fraction(df / 2.0, x / 2.0)
-    return 1.0 - chisq_cdf(x, df)  # which checks the arguments
+    """Chi-square upper tail 1 - F_df(x) = Q(df/2, x/2): from x = df + 2 on the
+    continued fraction's own Q, so a tail far below 1e-16 keeps its relative accuracy."""
+    return _chisq_tails(x, df)[1]
 
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse of chisq_cdf in p, by bracketed third-order (Chebyshev) steps from

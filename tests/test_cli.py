@@ -77,13 +77,15 @@ class TestTestCommand:
         assert _json_doc(capsys, ("--grid-size", "256"))["grid_size"] == 256
 
     def test_small_runs_import_no_thread_pool_or_masked_arrays(self, tmp_path):
-        # Each takes 5-14 ms to import.  Only a fit of more than _SHARED_TERMS
-        # kernel terms (the golden's has fewer) needs concurrent.futures, and
-        # numpy imports numpy.ma on a first np.unique, which plots do without.
-        script = ("import sys; from fbst import cli; "
+        # Each takes 5-14 ms to import and neither is needed: a large fit shares
+        # its blocks through plain threads, and numpy 2 imports numpy.ma only on
+        # a first np.unique, which plots do without (numpy 1 imports it always).
+        script = ("import sys, numpy; "
+                  "unused = {'concurrent.futures'} | ({'numpy.ma'} - set(sys.modules)); "
+                  "from fbst import cli; "
                   f"codes = [cli.main(['test', *{BASE!r}]), "
                   f"cli.main(['plot', *{BASE!r}, '--out', {str(tmp_path / 'p.svg')!r}])]; "
-                  "print(codes, sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
+                  "print(codes, sorted(unused & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               encoding="utf-8")
         assert proc.stdout.splitlines()[-1] == "[0, 0] []", proc.stderr

@@ -162,6 +162,7 @@ class TestChisqSf:
                 assert tail == rest  # the same bits as before the upper tail
             else:
                 assert abs(tail - rest) <= 1.2e-16
+                assert chisq_cdf(x, df) == 1.0 - tail  # P from the same Q
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
