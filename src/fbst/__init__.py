@@ -19,7 +19,7 @@ from .io import DrawsFileSpec, ResultDocument, format_result, load_draws, \
 from .oracle import (TTestData, analytic_evalue_flat, brute_force_evalue,
                      random_walk_metropolis, ttest_metropolis)
 from .special_math import (DensityFamily, chisq_cdf, chisq_pdf, chisq_quantile,
-                           density_eval, reg_lower_incomplete_gamma)
+                           density_eval)
 from .viz import PlotSpec, render_fbst_plot
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "chisq_cdf", "chisq_pdf", "chisq_quantile", "density_eval", "evalue_grid",
     "evalue_mc", "fbst", "fbst_pipeline", "format_result", "kde_eval",
     "kde_fit", "load_draws", "pvalue_evalue", "random_walk_metropolis",
-    "reg_lower_incomplete_gamma", "render_fbst_plot", "silverman_bandwidth",
+    "render_fbst_plot", "silverman_bandwidth",
     "standardized_evalue", "surprise_fit",
     "ttest_metropolis", "write_result", "__version__",
 ]

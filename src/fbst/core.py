@@ -134,10 +134,6 @@ class SurpriseFunction(Frozen):
         return self.posterior.grid
 
     @property
-    def mode_surprise(self) -> float:
-        return float(self.values.max())
-
-    @property
     def relative_null_ratio(self) -> float:
         return self.s0_posterior_density / self.posterior.mode_density
 

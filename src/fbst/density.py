@@ -24,11 +24,6 @@ _RADIUS = 9.0  # scaled distance past which every term is capped (9^2 > 80)
 _SHARED_TERMS = 4_000_000  # terms past which cores share the blocks: ~10 ms on one
 
 
-def trapezoid_weights(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule mass of each grid segment of a tabulated curve."""
-    return 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
-
-
 class Frozen:
     """Base of the records: arrays in their fields, tuples included, stay read-only."""
 
@@ -111,7 +106,7 @@ class DensityEstimate(Frozen):
             raise DomainError("density values must be nonnegative")
         if self.bandwidth <= 0:
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        mass = trapezoid_weights(grid, values)
+        mass = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)  # trapezoid rule
         total = float(mass.sum())
         if not 0.99 <= total <= 1.001:
             raise DomainError(

@@ -1,10 +1,10 @@
 """Chi-square special functions and reference density families.
 
-The chi-square CDF and upper tail are built on the regularized incomplete
-gamma functions P(a, x) and Q(a, x) = 1 - P(a, x): a series expansion gives
-P for x < a + 1, and a continued fraction gives Q otherwise.  Quantiles
-invert the CDF from a close start to a relative tolerance.  Everything here
-is pure and thread-safe.
+The chi-square CDF and upper tail are the regularized incomplete gamma
+functions P(df/2, x/2) and Q = 1 - P, and one function picks the branch for
+both tails: a series expansion gives P for x/2 < df/2 + 1, and a continued
+fraction gives Q otherwise.  Quantiles invert the CDF from a close start to
+a relative tolerance.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -57,23 +57,6 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    # (P, Q): the series gives P for x < a + 1, the continued fraction Q from
-    # there on, and the other tail is 1 minus it
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if x < a + 1.0:
-        p = _gamma_series(a, x) if x > 0 else 0.0
-        return p, 1.0 - p
-    q = _gamma_cont_fraction(a, x)
-    return 1.0 - q, q
-
-def reg_lower_incomplete_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x)."""
-    return _gamma_tails(a, x)[0]
-
 def chisq_pdf(x: float, df: float) -> float:
     """Chi-square density with df degrees of freedom."""
     if df <= 0:
@@ -89,11 +72,18 @@ def chisq_pdf(x: float, df: float) -> float:
                     - math.lgamma(half) - half * math.log(2.0))
 
 def _chisq_tails(x: float, df: float) -> tuple[float, float]:
-    if df <= 0:
+    # (F, 1 - F) as (P, Q)(a, y) at a = df/2, y = x/2: the series gives P for
+    # y < a + 1, the continued fraction Q from there on, and the other tail is 1 minus it
+    a, y = df / 2.0, x / 2.0
+    if a <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if x < 0:
         raise DomainError(f"chi-square argument must be nonnegative, got {x}")
-    return _gamma_tails(df / 2.0, x / 2.0)
+    if y < a + 1.0:
+        p = _gamma_series(a, y) if y > 0 else 0.0
+        return p, 1.0 - p
+    q = _gamma_cont_fraction(a, y)
+    return 1.0 - q, q
 
 def chisq_cdf(x: float, df: float) -> float:
     """Chi-square CDF F_df(x) = P(df/2, x/2)."""

@@ -83,10 +83,9 @@ def render_fbst_plot(s: SurpriseFunction, spec: PlotSpec) -> str:
     xs = np.concatenate(([x_lo], grid[(x_lo < grid) & (grid < x_hi)], [x_hi]))
     ys = np.interp(xs, grid, values)
 
-    # classify each display segment by the original segment containing it
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    owners = np.clip(np.searchsorted(grid, mids) - 1, 0, grid.size - 2)
-    seg_member = s.member_segments[owners]
+    # display segment i lies in grid segment first + i, the first holding x_lo
+    first = int(np.searchsorted(grid, x_lo, side="right")) - 1
+    seg_member = s.member_segments[first:first + xs.size - 1]
 
     y_top = float(ys.max())
     if spec.show_cutoff_line:

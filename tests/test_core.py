@@ -388,7 +388,7 @@ class TestTangentialRegion:
     def test_strict_inequality_excludes_ties(self):
         s = hand_surprise([1.0, 2.0, 2.0, 3.0], s_star=2.0)
         assert s.member_mask.tolist() == [False, False, False, True]
-        assert s.mode_surprise == 3.0
+        assert s.values.max() == 3.0
 
     def test_mask_and_intervals_agree(self):
         s = hand_surprise([0.0, 1.0, 1.0, 0.0, 1.0], s_star=0.5)
@@ -638,6 +638,44 @@ class TestFbst:
         assert sample._latest_fit is None
 
 
+class TestEvalueProperties:
+    """Seeded properties of the e-value, with bounds measured before they were set."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    def test_evalue_falls_only_where_the_fit_rises(self, seed):
+        """As the null moves out from the mode, 4 sd each way in 401 steps, the
+        grid e-value never decreases across a step where the fitted density at
+        the null does not rise.  The fit of 10^5 N(0, 1) draws is not unimodal:
+        its tails carry small bumps, and seed 11's top has two peaks, so the
+        e-value does fall, by up to 0.011, and only across such a rise."""
+        sample = normal_sample(mu=0.0, n=100_000, seed=seed)
+        fit = kde_fit(sample)
+        steps = np.linspace(0.0, 4.0 * float(np.std(sample.draws)), 401)
+        for side in (1.0, -1.0):
+            nulls = fit.mode_location + side * steps
+            evs = np.array([fbst(sample, x, 1, 0).e_value_against for x in nulls])
+            rises = np.diff([kde_eval(fit, x) for x in nulls]) > 0
+            assert np.all((np.diff(evs) >= 0) | rises)
+            assert evs[0] == 0.0
+
+    @pytest.mark.parametrize("a,b,bound", [(2.0, -1.0, 1e-12), (0.25, 3.0, 1e-12),
+                                           (1e3, 1e3, 1e-12), (-1.5, 0.5, 1e-5)])
+    def test_affine_map_of_draws_and_null(self, a, b, bound):
+        """ev(a x + b, a null + b) = ev(x, null) on Gamma(3, 1) draws.  Measured:
+        a positive map moves either estimator by at most 2.2e-16, and the
+        reflection moves the grid e-value by up to 2.2e-7."""
+        draws = np.random.default_rng(12).gamma(3.0, 1.0, 50_000)
+        base = PosteriorSample(draws=draws, label="theta")
+        moved = PosteriorSample(draws=a * draws + b, label="theta")
+        estimators = ("grid",) if a < 0 else ("grid", "monte_carlo")
+        for null in (1.5, 4.0, 6.5):
+            for estimator in estimators:
+                ev = fbst(base, null, 1, 0, estimator=estimator).e_value_against
+                ev_moved = fbst(moved, a * null + b, 1, 0,
+                                estimator=estimator).e_value_against
+                assert abs(ev_moved - ev) <= bound, (null, estimator)
+
+
 class TestIntegerDimensions:
     @pytest.mark.parametrize("k,h", [(3.5, 2), (3, 2.0), ("3", 2), (3, None)])
     def test_dimensions_must_be_integers(self, k, h):
@@ -691,6 +729,10 @@ def test_public_names_resolve():
     import fbst
     for name in fbst.__all__:
         assert hasattr(fbst, name), name
-    for gone in ("TangentialRegion", "tangential_region"):
+    assert len(set(fbst.__all__)) == len(fbst.__all__)
+    for gone in ("TangentialRegion", "tangential_region", "reg_lower_incomplete_gamma"):
         assert not hasattr(fbst, gone)
         assert not hasattr(fbst.core, gone)
+    assert not hasattr(fbst.special_math, "reg_lower_incomplete_gamma")
+    assert not hasattr(fbst.density, "trapezoid_weights")
+    assert not hasattr(fbst.SurpriseFunction, "mode_surprise")

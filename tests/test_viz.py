@@ -213,6 +213,16 @@ CROPPED_DIGESTS = {
         "ef18094db8c49cd3d47d8e58ac4700aaab46bfdebb2a5ee003352de10e7fe978",
     (372, 683, False):
         "9645f04b6948abb9fafbe8cf90dd66bdc147833e488ee239116148371b458054",
+    # inside one grid segment, no node in the window
+    (371.2, 371.7, True):
+        "2e09a7b31bed2cf183cc6809905136559fcb81cc35c0d6d2d0406ea4621453c2",
+    (371.2, 371.7, False):
+        "5e15cc967100a8c26e354fbdc4cd0edf932af4d9f9364da34d368b9c02236ab3",
+    # the left end is a node
+    (371, 371.5, True):
+        "2114d646163b61cc4e221a352cb52c1044cab2855c5c8da7dc0ee6c8b9186276",
+    (371, 371.5, False):
+        "c991ba8760440754879114cfc6c31608b4b9c659632acd7e18485aa3c4c98fe0",
 }
 
 
