@@ -14,8 +14,7 @@ from .density import (DensityEstimate, PosteriorSample, kde_eval, kde_fit,
                       silverman_bandwidth)
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
                      PlotError, ReferenceFunctionError, SamplerError)
-from .io import DrawsFileSpec, ResultDocument, format_result, load_draws, \
-    write_result
+from .io import DrawsFileSpec, ResultDocument, format_result, load_draws
 from .oracle import (TTestData, analytic_evalue_flat, brute_force_evalue,
                      random_walk_metropolis, ttest_metropolis)
 from .special_math import (DensityFamily, chisq_cdf, chisq_pdf, chisq_quantile,
@@ -34,5 +33,5 @@ __all__ = [
     "kde_fit", "load_draws", "pvalue_evalue", "random_walk_metropolis",
     "render_fbst_plot", "silverman_bandwidth",
     "standardized_evalue", "surprise_fit",
-    "ttest_metropolis", "write_result", "__version__",
+    "ttest_metropolis", "__version__",
 ]

@@ -17,7 +17,7 @@ from .core import check_run, fbst_pipeline, standardized_evalue
 from .density import DEFAULT_GRID_SIZE, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 from .io import (FORMATS, DrawsCache, DrawsFileSpec, ResultDocument, format_result,
-                 load_draws, load_reference, timestamp_now, write_result, write_text)
+                 load_draws, load_reference, timestamp_now, write_text)
 from .oracle import SEV_FIXTURES, analytic_evalue_flat
 from .special_math import chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
@@ -110,10 +110,11 @@ def run_test(args, parser: _Parser) -> int:
     doc = ResultDocument.from_result(result, sample_size=sample.n,
                                      bandwidth=surprise.posterior.bandwidth,
                                      grid_size=args.grid_size, timestamp=timestamp)
+    text = format_result(doc, args.output_format)
     if args.output is None:
-        sys.stdout.write(format_result(doc, args.output_format))
+        sys.stdout.write(text)
     else:
-        write_result(doc, args.output, args.output_format)
+        write_text(args.output, text)
     return 0
 
 def run_plot(args, parser: _Parser) -> int:

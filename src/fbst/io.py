@@ -11,7 +11,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,11 +207,11 @@ class DrawsCache:
             if stat.st_size < CACHE_FLOOR:
                 return None
             from _blake2 import blake2b  # hashlib would load OpenSSL: 3.5 MB resident
-            key = [repr((os.path.abspath(spec.path), spec.format, spec.column,
-                         spec.delimiter, self.bandwidth, self.grid_size,
-                         np.__version__)).encode()]
+            key = [repr((replace(spec, path=os.path.abspath(spec.path)), self.bandwidth,
+                         self.grid_size, np.__version__)).encode()]
             key += map(Path.read_bytes, sorted(Path(__file__).parent.glob("*.py")))
-            base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+            base = os.environ.get("XDG_CACHE_HOME", "")  # the XDG spec ignores a relative one
+            base = base if os.path.isabs(base) else Path.home() / ".cache"
             self.path = Path(base) / "fbst" / f"{blake2b(b''.join(key)).hexdigest()}.npy"
             self.identity = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
             if not self.path.exists():
@@ -304,9 +304,6 @@ class ResultDocument(FbstResult):
                    grid_size=int(grid_size),
                    timestamp=timestamp if timestamp is not None else timestamp_now())
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, payload: dict) -> "ResultDocument":
         names = [f.name for f in fields(cls)]
@@ -328,13 +325,10 @@ def timestamp_now() -> str:
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _sig7(value: float) -> str:
-    return f"{value:.7g}"
-
 def format_result(doc: ResultDocument, format: str = "text") -> str:
     """Render a result document as the text summary block or as JSON."""
     if format == "json":
-        return json.dumps(doc.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(doc), indent=2) + "\n"
     if format != "text":
         raise DrawsError(f"format must be 'text' or 'json', got {format!r}")
     reference = "Flat" if doc.reference_descriptor == "flat" else "User-defined"
@@ -343,16 +337,12 @@ def format_result(doc: ResultDocument, format: str = "text") -> str:
         f"Reference function: {reference}",
         f"Testing Hypothesis H_0:Parameter= {doc.null_value:g} "
         "against its alternative H_1",
-        f"Bayesian e-value against H_0: {_sig7(doc.e_value_against)}",
+        f"Bayesian e-value against H_0: {doc.e_value_against:.7g}",
         "p-value associated with the Bayesian e-value in favour of the null "
-        f"hypothesis: {_sig7(doc.p_value)}",
-        f"Standardized e-value: {_sig7(doc.sev)}",
+        f"hypothesis: {doc.p_value:.7g}",
+        f"Standardized e-value: {doc.sev:.7g}",
     ]
     return "\n".join(lines) + "\n"
-
-def write_result(doc: ResultDocument, path: str, format: str = "text") -> None:
-    """Write the rendered document to a file."""
-    write_text(path, format_result(doc, format))
 
 def write_text(path: str, text: str) -> None:
     """Write an output file: UTF-8, with LF line endings on every platform."""

@@ -73,6 +73,27 @@ class TestTestCommand:
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8").startswith("Full Bayesian")
 
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_one_format_call_to_stdout_or_file(self, capsys, monkeypatch, tmp_path,
+                                               output_format):
+        # perfbench's tracer times the formatting through this name
+        calls = []
+        format_result = cli.format_result
+
+        def counted(*args):
+            calls.append(args)
+            return format_result(*args)
+
+        monkeypatch.setattr(cli, "format_result", counted)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        argv = ["test", *BASE, "--output-format", output_format]
+        out = tmp_path / "summary"
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert main([*argv, "--output", str(out)]) == 0
+        assert len(calls) == 2
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
     def test_grid_size_flag(self, capsys):
         assert _json_doc(capsys, ("--grid-size", "256"))["grid_size"] == 256
 
@@ -586,6 +607,19 @@ class TestDrawsCache:
         assert captured.err == ""
         assert captured.out == 4 * golden
         assert svg.read_bytes() == (DATA / "golden_plot.svg").read_bytes()
+
+    def test_relative_cache_home_is_ignored(self, capsys, monkeypatch, tmp_path, no_floor):
+        # the XDG Base Directory spec: a relative path is invalid and is ignored
+        home, work = tmp_path / "home", tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+        assert [main(["test", *BASE]) for _ in range(2)] == [0, 0]
+        capsys.readouterr()
+        assert list(work.iterdir()) == []
+        [entry] = _entries(home / ".cache" / "fbst")
+        assert entry.read_bytes() != b""
 
     def test_without_blake2_runs_uncached(self, capsys, monkeypatch, no_floor, counts,
                                           draws_cache_dir):

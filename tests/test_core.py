@@ -736,3 +736,6 @@ def test_public_names_resolve():
     assert not hasattr(fbst.special_math, "reg_lower_incomplete_gamma")
     assert not hasattr(fbst.density, "trapezoid_weights")
     assert not hasattr(fbst.SurpriseFunction, "mode_surprise")
+    assert not hasattr(fbst, "write_result")
+    assert not hasattr(fbst.io, "write_result")
+    assert not hasattr(fbst.ResultDocument, "to_dict")

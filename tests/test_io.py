@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from fbst import (DimensionError, DomainError, DrawsError, DrawsFileSpec,
                   PosteriorSample, ReferenceFunction, ResultDocument, __version__,
-                  fbst_pipeline, format_result, load_draws, write_result)
+                  fbst_pipeline, format_result, load_draws)
 import fbst.io
 from fbst.io import load_reference, load_reference_table, write_text
 
@@ -579,7 +580,7 @@ class TestResultDocument:
         assert doc.timestamp == "2026-01-01T00:00:00Z"
 
     def test_from_dict_rejects_missing_fields(self):
-        payload = _doc().to_dict()
+        payload = asdict(_doc())
         del payload["sev"]
         del payload["timestamp"]
         with pytest.raises(DrawsError, match="missing fields.*sev.*timestamp"):
@@ -587,7 +588,7 @@ class TestResultDocument:
 
     @pytest.mark.parametrize("dim_theta,dim_null", [(0, -1), (3, -1), (2, 2)])
     def test_from_dict_rejects_impossible_dimensions(self, dim_theta, dim_null):
-        payload = {**_doc().to_dict(), "dim_theta": dim_theta, "dim_null": dim_null}
+        payload = {**asdict(_doc()), "dim_theta": dim_theta, "dim_null": dim_null}
         with pytest.raises(DimensionError):
             ResultDocument.from_dict(payload)
 
@@ -619,7 +620,7 @@ class TestResultDocument:
     def test_file_round_trip(self, tmp_path):
         doc = _doc()
         path = tmp_path / "result.json"
-        write_result(doc, str(path), format="json")
+        write_text(str(path), format_result(doc, "json"))
         restored = ResultDocument.from_dict(
             json.loads(path.read_text(encoding="utf-8")))
         assert restored == doc
@@ -658,7 +659,7 @@ class TestFormatResult:
         doc = _doc()
         rendered = format_result(doc, "json")
         assert rendered.endswith("\n")
-        assert json.loads(rendered) == doc.to_dict()
+        assert json.loads(rendered) == asdict(doc)
 
     def test_unknown_format(self):
         with pytest.raises(DrawsError, match="format"):
@@ -666,16 +667,18 @@ class TestFormatResult:
 
 
 class TestWriteResult:
+    """A formatted result written to a file by write_text."""
+
     def test_text_bytes_use_lf(self, tmp_path):
         path = tmp_path / "summary.txt"
-        write_result(_doc(), str(path))
+        write_text(str(path), format_result(_doc()))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw == format_result(_doc(), "text").encode("utf-8")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            write_result(_doc(), str(tmp_path / "missing" / "out.txt"))
+            write_text(str(tmp_path / "missing" / "out.txt"), format_result(_doc()))
 
 
 def test_write_text_is_utf8_with_lf(tmp_path):
