@@ -59,10 +59,6 @@ class ReferenceFunction(Frozen):
         return cls(family=family)
 
     @classmethod
-    def from_table(cls, grid, values, source: str = "") -> "ReferenceFunction":
-        return cls(grid=grid, values=values, source=source)
-
-    @classmethod
     def parse(cls, text: str) -> "ReferenceFunction":
         """The flat or density-family reference whose `descriptor` is text."""
         if text == "flat":
@@ -71,7 +67,7 @@ class ReferenceFunction(Frozen):
         params = {}
         try:
             if family == "table":
-                raise DomainError("a table is read from its file by io.load_reference_table")
+                raise DomainError("a table is read from its file by io.load_reference")
             for item in filter(None, pairs.split(",")):
                 key, eq, value = (part.strip() for part in item.partition("="))
                 if not eq:

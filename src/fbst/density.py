@@ -104,8 +104,8 @@ class DensityEstimate(Frozen):
         grid, values = tabulated_curve(self.grid, self.values, "density")
         if np.any(values < 0):
             raise DomainError("density values must be nonnegative")
-        if self.bandwidth <= 0:
-            raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise DomainError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         mass = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)  # trapezoid rule
         total = float(mass.sum())
         if not 0.99 <= total <= 1.001:

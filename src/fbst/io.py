@@ -26,9 +26,6 @@ CACHE_FLOOR = 1 << 20  # bytes: below it a hit saves under a tenth of a CLI run
 CACHE_ENTRIES = 8
 _CACHE_FAULTS = (OSError, ValueError, EOFError, ImportError, RuntimeError, FbstError)
 
-SUMMARY_HEADER = ("Full Bayesian Significance Test for testing a sharp "
-                  "hypothesis against its alternative:")
-
 
 @dataclass(frozen=True)
 class DrawsFileSpec:
@@ -260,14 +257,11 @@ class DrawsCache:
 
 
 def load_reference(text: str) -> ReferenceFunction:
-    """The reference a `--ref` text names: `table:<path>`'s file, else parsed."""
-    if text.startswith("table:"):
-        return load_reference_table(text[len("table:"):])
-    return ReferenceFunction.parse(text)
-
-def load_reference_table(path_text: str) -> ReferenceFunction:
-    """Read a tabulated reference: `theta,value` rows, optional header row."""
-    path = Path(path_text)
+    """The reference a `--ref` text names: a `table:<path>` file of `theta,value`
+    rows with an optional header row, else what ReferenceFunction.parse reads."""
+    if not text.startswith("table:"):
+        return ReferenceFunction.parse(text)
+    path = Path(text[len("table:"):])
     if not path.is_file():
         raise DrawsError(f"{path}: reference table not found")
     grid, values = [], []
@@ -281,7 +275,7 @@ def load_reference_table(path_text: str) -> ReferenceFunction:
     if len(grid) < 2:
         raise DrawsError(f"{path}: reference table needs at least two rows")
     try:
-        return ReferenceFunction.from_table(grid, values, source=str(path))
+        return ReferenceFunction(grid=grid, values=values, source=str(path))
     except DomainError as err:  # a theta column that is not increasing
         raise DrawsError(f"{path}: {err}") from None
 
@@ -333,7 +327,8 @@ def format_result(doc: ResultDocument, format: str = "text") -> str:
         raise DrawsError(f"format must be 'text' or 'json', got {format!r}")
     reference = "Flat" if doc.reference_descriptor == "flat" else "User-defined"
     lines = [
-        SUMMARY_HEADER,
+        "Full Bayesian Significance Test for testing a sharp hypothesis against "
+        "its alternative:",
         f"Reference function: {reference}",
         f"Testing Hypothesis H_0:Parameter= {doc.null_value:g} "
         "against its alternative H_1",

@@ -143,8 +143,8 @@ def ttest_metropolis(data: TTestData, prior_scale: float, iterations: int,
     sigma*delta/2, sigma^2), Cauchy(0, prior_scale) prior on delta, flat
     prior on mu, and the reference prior 1/sigma^2 on the variance.
     """
-    if prior_scale <= 0:
-        raise DomainError(f"prior scale must be positive, got {prior_scale}")
+    if not 0 < prior_scale < math.inf:
+        raise DomainError(f"prior scale must be positive and finite, got {prior_scale}")
     if iterations < 100_000:
         raise DomainError(f"need at least 100000 iterations, got {iterations}")
     g1, g2 = data.group1, data.group2

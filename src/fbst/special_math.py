@@ -59,8 +59,10 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
 
 def chisq_pdf(x: float, df: float) -> float:
     """Chi-square density with df degrees of freedom."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    if not 0 < df < math.inf:
+        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    if not math.isfinite(x):
+        raise DomainError(f"chi-square argument must be finite, got {x}")
     if x < 0:
         return 0.0
     if x == 0:
@@ -75,10 +77,10 @@ def _chisq_tails(x: float, df: float) -> tuple[float, float]:
     # (F, 1 - F) as (P, Q)(a, y) at a = df/2, y = x/2: the series gives P for
     # y < a + 1, the continued fraction Q from there on, and the other tail is 1 minus it
     a, y = df / 2.0, x / 2.0
-    if a <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if x < 0:
-        raise DomainError(f"chi-square argument must be nonnegative, got {x}")
+    if not 0 < a < math.inf:
+        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"chi-square argument must be finite and nonnegative, got {x}")
     if y < a + 1.0:
         p = _gamma_series(a, y) if y > 0 else 0.0
         return p, 1.0 - p
@@ -99,9 +101,9 @@ def chisq_quantile(p: float, df: float) -> float:
     the Wilson-Hilferty cube df (1 - c + z sqrt(c))^3 (c = 2/(9 df), z ~ the normal
     p-quantile), or for small p the small-x law F(x) ~ (x/2)^(df/2) / Gamma(df/2 + 1),
     until |F(x) - p| <= 1e-15 p or the bracket is 1e-15 x wide."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if p < 0 or p >= 1:
+    if not 0 < df < math.inf:
+        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    if not 0 <= p < 1:
         raise DomainError(f"probability must lie in [0, 1), got {p}")
     if p == 0:
         return 0.0

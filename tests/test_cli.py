@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -451,6 +452,15 @@ def _entries(cache_dir):
     return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
 
 
+def _with_nan_bandwidth(entry):
+    """The entry's bytes with the fit's stored bandwidth, its first number, set to NaN."""
+    handle, out = io.BytesIO(entry), io.BytesIO()
+    digest, draws, label, fit = [np.load(handle, allow_pickle=False) for _ in range(4)]
+    for array in (digest, draws, label, np.hstack((np.nan, fit[1:]))):
+        np.save(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
 class TestDrawsCache:
     """`fbst test` and `fbst plot` keep a large draws file's sample and fit across
     runs (tests/conftest.py gives each test its own cache directory).  A file's
@@ -572,14 +582,16 @@ class TestDrawsCache:
         assert entry.read_bytes() != b""
         capsys.readouterr()
 
-    @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage"])
+    @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage",
+                                        "nan_bandwidth"])
     def test_damaged_entry_is_recomputed_and_rewritten(self, capsys, no_floor, counts,
                                                        draws_cache_dir, damage):
         runs = [(main(["test", *BASE]), capsys.readouterr()) for _ in range(2)]
         [entry] = _entries(draws_cache_dir)
         good = entry.read_bytes()
         entry.write_bytes({"truncated_fit": good[:-8], "half": good[:len(good) // 2],
-                           "empty": b"", "garbage": b"\x93NUMPY garbage" * 9}[damage])
+                           "empty": b"", "garbage": b"\x93NUMPY garbage" * 9,
+                           "nan_bandwidth": _with_nan_bandwidth(good)}[damage])
         runs.append((main(["test", *BASE]), capsys.readouterr()))
         assert runs[0] == runs[1] == runs[2]
         assert runs[2][1].err == ""

@@ -56,21 +56,21 @@ class TestReferenceFunction:
         assert {name: float(number) for name, number in pairs.items()} == fam.params
 
     def test_tabulated_interpolates_inside(self):
-        ref = ReferenceFunction.from_table([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+        ref = ReferenceFunction(grid=[0.0, 1.0, 2.0], values=[1.0, 3.0, 5.0])
         assert ref.evaluate(0.5) == pytest.approx(2.0)
         assert ref.descriptor == "table"
 
     def test_tabulated_errors_outside(self):
-        ref = ReferenceFunction.from_table([0.0, 1.0], [1.0, 1.0])
+        ref = ReferenceFunction(grid=[0.0, 1.0], values=[1.0, 1.0])
         with pytest.raises(ReferenceFunctionError):
             ref.evaluate(1.5)
 
     def test_tabulated_rejects_nonpositive_values(self):
         with pytest.raises(ReferenceFunctionError):
-            ReferenceFunction.from_table([0.0, 1.0], [1.0, 0.0])
+            ReferenceFunction(grid=[0.0, 1.0], values=[1.0, 0.0])
 
     def test_table_descriptor_names_source(self):
-        ref = ReferenceFunction.from_table([0.0, 1.0], [1.0, 1.0], source="r.csv")
+        ref = ReferenceFunction(grid=[0.0, 1.0], values=[1.0, 1.0], source="r.csv")
         assert ref.descriptor == "table:r.csv"
 
     def test_source_without_table_is_rejected(self):
@@ -131,7 +131,7 @@ class TestReferenceParse:
         ("normal:mean=0,sd=-1", "parameter 'sd' must be positive, got -1.0"),
         ("normal:mean=0", "family 'normal' takes parameters ['mean', 'sd'], got ['mean']"),
         ("gamma:shape=2", "unknown density family 'gamma'"),
-        ("table:r.csv", "a table is read from its file by io.load_reference_table"),
+        ("table:r.csv", "a table is read from its file by io.load_reference"),
     ])
     def test_parse_rejects_with_the_cause(self, text, problem):
         with pytest.raises(DomainError) as err:
@@ -149,7 +149,7 @@ class TestSurpriseFit:
 
     def test_posterior_equal_to_reference_is_flat_surprise(self):
         est = kde_fit(normal_sample(n=2_000))
-        ref = ReferenceFunction.from_table(est.grid, est.values)
+        ref = ReferenceFunction(grid=est.grid, values=est.values)
         s = surprise_fit(est, ref, 0.0)
         assert s.values == pytest.approx(np.ones_like(s.values), rel=1e-12)
         assert s.s_star == pytest.approx(1.0, rel=1e-9)
@@ -169,7 +169,7 @@ class TestSurpriseFit:
 
     def test_table_not_covering_grid(self):
         est = kde_fit(normal_sample(n=2_000))
-        ref = ReferenceFunction.from_table([-0.5, 0.5], [1.0, 1.0])
+        ref = ReferenceFunction(grid=[-0.5, 0.5], values=[1.0, 1.0])
         with pytest.raises(ReferenceFunctionError):
             surprise_fit(est, ref, 0.0)
 
@@ -199,8 +199,8 @@ def _references():
         "normal": ReferenceFunction.from_family(DensityFamily.normal(0.0, 2.5)),
         "cauchy": ReferenceFunction.from_family(DensityFamily.cauchy(0.0, PRIOR_SCALE)),
         "student_t": ReferenceFunction.from_family(DensityFamily.student_t(0.0, 1.0, 3.0)),
-        "table": ReferenceFunction.from_table(grid, np.exp(-0.5 * (grid / 2.5) ** 2),
-                                              "r.csv"),
+        "table": ReferenceFunction(grid=grid, values=np.exp(-0.5 * (grid / 2.5) ** 2),
+                                   source="r.csv"),
     }
 
 
@@ -250,8 +250,9 @@ class TestSurpriseTables:
 
     def test_tables_with_one_source_keep_their_own_values(self):
         grid = np.linspace(-8.0, 10.0, 2001)
-        wide, narrow = (ReferenceFunction.from_table(
-            grid, np.exp(-0.5 * (grid / sd) ** 2), "r.csv") for sd in (2.5, 1.5))
+        wide, narrow = (ReferenceFunction(
+            grid=grid, values=np.exp(-0.5 * (grid / sd) ** 2), source="r.csv")
+            for sd in (2.5, 1.5))
         assert wide.descriptor == narrow.descriptor
         sample = normal_sample(n=5_000)
         kept = [fbst(sample, 0.2, 3, 2, reference=ref)
@@ -739,3 +740,6 @@ def test_public_names_resolve():
     assert not hasattr(fbst, "write_result")
     assert not hasattr(fbst.io, "write_result")
     assert not hasattr(fbst.ResultDocument, "to_dict")
+    for gone in ("load_reference_table", "SUMMARY_HEADER"):
+        assert not hasattr(fbst.io, gone)
+    assert not hasattr(fbst.ReferenceFunction, "from_table")

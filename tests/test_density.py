@@ -83,7 +83,8 @@ RECORDS = [
                               est.segment_mass.tolist(), est.mode_location,
                               est.mode_density),
                  id="DensityEstimate"),
-    pytest.param(ReferenceFunction.from_table, _normal_table,
+    pytest.param(lambda grid, values: ReferenceFunction(grid=grid, values=values),
+                 _normal_table,
                  lambda ref: (ref.grid.tolist(), ref.values.tolist(), ref.evaluate(0.5)),
                  id="ReferenceFunction"),
     pytest.param(_surprise, lambda: [_normal_table()[1] / 2.0],
@@ -528,3 +529,9 @@ class TestDensityEstimateValidation:
         grid, values = self._args()
         with pytest.raises(DomainError):
             DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_rejects_nonfinite_bandwidth(self, bandwidth):
+        grid, values = self._args()
+        with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
+            DensityEstimate(grid=grid, values=values, bandwidth=bandwidth)

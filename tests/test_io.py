@@ -12,7 +12,7 @@ from fbst import (DimensionError, DomainError, DrawsError, DrawsFileSpec,
                   PosteriorSample, ReferenceFunction, ResultDocument, __version__,
                   fbst_pipeline, format_result, load_draws)
 import fbst.io
-from fbst.io import load_reference, load_reference_table, write_text
+from fbst.io import load_reference, write_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -475,7 +475,7 @@ class TestLoadJson:
 class TestLoadReferenceTable:
     def test_header_row_skipped(self, tmp_path):
         path = _write(tmp_path, "ref.csv", "theta,density\n\n-1,0.5\n1,0.25\n")
-        ref = load_reference_table(path)
+        ref = load_reference(f"table:{path}")
         assert ref.grid.tolist() == [-1.0, 1.0]
         assert ref.values.tolist() == [0.5, 0.25]
         assert ref.descriptor == f"table:{path}"
@@ -483,7 +483,7 @@ class TestLoadReferenceTable:
     def test_short_row_reported_with_physical_line(self, tmp_path):
         path = _write(tmp_path, "ref.csv", "theta,density\n\n-1,0.5\n1\n")
         with pytest.raises(DrawsError, match=r"ref\.csv:4: expected two columns"):
-            load_reference_table(path)
+            load_reference(f"table:{path}")
 
 
 class TestLoadReference:
@@ -530,7 +530,7 @@ BOM_FILES = {
     "json": ("d.json", '{"delta": [' + _BOM_DRAWS.replace("\n", ", ") + "]}",
              lambda path: _drawn(path, "json", "delta")),
     "table": ("ref.csv", "\n".join(f"{i},1.0" for i in range(40)),
-              lambda path: load_reference_table(path).grid.tolist()),
+              lambda path: load_reference(f"table:{path}").grid.tolist()),
 }
 
 

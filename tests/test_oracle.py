@@ -174,6 +174,12 @@ class TestTTestMetropolis:
         with pytest.raises(DomainError):
             ttest_metropolis(data, 0.0, 100_000, seed=1)
 
+    @pytest.mark.parametrize("prior_scale", [math.nan, math.inf])
+    def test_nonfinite_prior_scale_is_rejected_before_sampling(self, prior_scale):
+        data = TTestData(group1=[0.0, 1.0], group2=[0.5, 1.5])
+        with pytest.raises(DomainError, match="prior scale must be positive and finite"):
+            ttest_metropolis(data, prior_scale, 100_000, seed=1)
+
     def test_zero_pooled_variance(self):
         data = TTestData(group1=[1.0, 1.0], group2=[2.0, 2.0])
         with pytest.raises(DomainError, match="zero pooled variance"):

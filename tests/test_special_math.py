@@ -236,6 +236,26 @@ class TestChisqPdf:
         assert chisq_pdf(-1.0, 3.0) == 0.0
 
 
+CHISQ_FUNCTIONS = {"pdf": chisq_pdf, "cdf": chisq_cdf, "sf": special_math.chisq_sf,
+                   "quantile": chisq_quantile}
+
+
+@pytest.mark.parametrize("name", list(CHISQ_FUNCTIONS))
+@pytest.mark.parametrize("first,df", [(math.nan, 3.0), (math.inf, 3.0), (-math.inf, 3.0),
+                                      (0.5, math.nan), (0.5, math.inf)])
+def test_nan_or_infinite_argument_is_a_domain_error(name, first, df):
+    """A NaN fails every ordered comparison, so each check must be one a NaN fails."""
+    with pytest.raises(DomainError):
+        CHISQ_FUNCTIONS[name](first, df)
+
+
+@pytest.mark.parametrize("name", ["cdf", "sf", "quantile"])
+def test_subnormal_df_is_a_domain_error(name):
+    # df / 2 rounds to zero, where the series and the fraction are undefined
+    with pytest.raises(DomainError, match="degrees of freedom must be positive and finite"):
+        CHISQ_FUNCTIONS[name](0.5, 5e-324)
+
+
 class TestDensityFamily:
     def test_standard_cauchy_mode(self):
         assert density_eval(DensityFamily.cauchy(0.0, 1.0), 0.0) \
