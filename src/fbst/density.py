@@ -110,7 +110,7 @@ class DensityEstimate(Frozen):
         total = float(mass.sum())
         if not 0.99 <= total <= 1.001:
             raise DomainError(
-                f"density integrates to {total:.6f}, outside [0.99, 1.001]")
+                f"density integrates to {total:.6g}, outside [0.99, 1.001]")
         peak = int(np.argmax(values))
         self._freeze(grid=grid, values=values, segment_mass=mass, total_mass=total,
                      mode_location=float(grid[peak]), mode_density=float(values[peak]))

@@ -37,6 +37,8 @@ class DrawsFileSpec:
     delimiter: str = ","
 
     def __post_init__(self) -> None:
+        if not self.path:  # Path("") would name the working directory
+            raise DrawsError("draws file path is empty")
         if self.format is None:
             suffix = Path(self.path).suffix.lower()
             object.__setattr__(self, "format",
@@ -184,7 +186,10 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
         raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
     if len(draws) == 0:
         raise DrawsError(f"{path}: no draws found")
-    return PosteriorSample(draws=draws, label=label)
+    try:
+        return PosteriorSample(draws=draws, label=label)
+    except DrawsError as err:  # too few draws, or an empty header cell or key
+        raise DrawsError(f"{path}: {err}") from None
 
 
 class DrawsCache:
@@ -261,6 +266,8 @@ def load_reference(text: str) -> ReferenceFunction:
     rows with an optional header row, else what ReferenceFunction.parse reads."""
     if not text.startswith("table:"):
         return ReferenceFunction.parse(text)
+    if text == "table:":
+        raise DrawsError("reference table path is empty")
     path = Path(text[len("table:"):])
     if not path.is_file():
         raise DrawsError(f"{path}: reference table not found")

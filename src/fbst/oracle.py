@@ -1,10 +1,7 @@
-"""Independent ground truth for testing: published standardized e-values,
-closed-form e-values, a brute-force integrator, and a small Metropolis
-sampler for the two-group t-test model.
-
-Shipped with the library so installations can self-verify.  The brute-force
-integrator deliberately shares no quadrature code with the core module.
-"""
+"""What the package ships of its ground truth: the published standardized
+e-values (`SEV_FIXTURES`) and the closed-form e-value `analytic_evalue_flat`,
+which `fbst selfcheck` checks against, and the two-group t-test Metropolis
+sampler that validation and the benchmark draw posteriors from."""
 
 from __future__ import annotations
 
@@ -56,24 +53,6 @@ def analytic_evalue_flat(mu: float, sigma: float, null_value: float) -> float:
         raise DomainError(f"sigma must be positive, got {sigma}")
     z = abs(null_value - mu) / sigma
     return math.erf(z / math.sqrt(2.0))
-
-
-def brute_force_evalue(density_fn, ref_fn, null_value: float,
-                       lo: float, hi: float, steps: int) -> float:
-    """Midpoint-rule e-value over [lo, hi]; independent of the grid estimator.
-
-    density_fn and ref_fn must accept numpy arrays.
-    """
-    if steps < 100_000:
-        raise DomainError(f"need at least 100000 steps, got {steps}")
-    if not lo < hi:
-        raise DomainError(f"empty integration range [{lo}, {hi}]")
-    xs = lo + (np.arange(steps) + 0.5) * ((hi - lo) / steps)
-    dens = np.asarray(density_fn(xs), dtype=float)
-    refs = np.asarray(ref_fn(xs), dtype=float)
-    cutoff = float(density_fn(null_value)) / float(ref_fn(null_value))
-    member = dens / refs > cutoff
-    return float(dens[member].sum() / dens.sum())
 
 
 def random_walk_metropolis(log_density, initial, iterations: int, seed: int,

@@ -1,18 +1,7 @@
-import math
-
-import numpy as np
 import pytest
 
-from fbst import TTestData, ttest_metropolis
-
-PRIOR_SCALE = math.sqrt(2.0) / 2.0
-
-
-def two_group_data(data_seed: int = 69) -> TTestData:
-    """The pinned two-group design: n=18 per group, true effect about -0.33."""
-    rng = np.random.default_rng(data_seed)
-    return TTestData(group1=rng.normal(0.0, 1.7, 18),
-                     group2=rng.normal(0.8, 3.0, 18))
+from fbst import ttest_metropolis
+from ground_truth import PRIOR_SCALE, two_group_data
 
 
 @pytest.fixture(autouse=True)

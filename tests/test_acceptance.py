@@ -15,43 +15,20 @@ import numpy as np
 import pytest
 
 from fbst import (DensityEstimate, DensityFamily, PosteriorSample,
-                  ReferenceFunction, TTestData, brute_force_evalue, chisq_cdf,
-                  chisq_quantile, evalue_grid, evalue_mc, fbst_pipeline,
-                  kde_fit, render_fbst_plot, standardized_evalue,
-                  surprise_fit, ttest_metropolis, PlotSpec)
+                  ReferenceFunction, chisq_cdf, chisq_quantile, evalue_grid,
+                  evalue_mc, fbst_pipeline, kde_fit, render_fbst_plot,
+                  standardized_evalue, surprise_fit, ttest_metropolis, PlotSpec)
 from fbst.oracle import SEV_FIXTURES
+from ground_truth import (PRIOR_SCALE, brute_force_evalue, cauchy_pdf, flat_pdf,
+                          gamma3_pdf, normal_pdf, two_group_data)
 
 DATA = Path(__file__).parent / "data"
-PRIOR_SCALE = math.sqrt(2.0) / 2.0
 SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _report(label, ok, detail):
     print(f"\n{label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{label}: {detail}"
-
-
-def _flat_pdf(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def _normal_pdf(mu, sigma):
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - mu) / sigma
-        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return pdf
-
-
-def _cauchy_pdf(location, scale):
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - location) / scale
-        return 1.0 / (math.pi * scale * (1.0 + z * z))
-    return pdf
-
-
-def _gamma3_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0, 0.5 * x * x * np.exp(-np.minimum(x, 700.0)), 0.0)
 
 
 def _shoelace(points):
@@ -103,9 +80,7 @@ def battery():
 @pytest.fixture(scope="module")
 def reenactment():
     """Twenty chains over the fixed two-group dataset, both references."""
-    rng = np.random.default_rng(69)
-    data = TTestData(group1=rng.normal(0.0, 1.7, 18),
-                     group2=rng.normal(0.8, 3.0, 18))
+    data = two_group_data()
     cauchy = ReferenceFunction.from_family(
         DensityFamily.cauchy(0.0, PRIOR_SCALE))
     start = time.perf_counter()
@@ -203,11 +178,11 @@ def test_06_chisq_kernel_accuracy():
 
 def test_07_brute_force_equivalence():
     cases = (
-        ("normal/flat", _normal_pdf(0.0, 1.0), None, 1.0, -8.0, 8.0),
-        ("normal/cauchy", _normal_pdf(0.0, 1.0), (0.0, 1.0), 2.0, -8.0, 8.0),
-        ("shifted/flat", _normal_pdf(2.0, 0.5), None, 1.25, -2.0, 6.0),
-        ("gamma/flat", _gamma3_pdf, None, 1.0, 0.0, 30.0),
-        ("gamma/cauchy", _gamma3_pdf, (0.0, 2.0), 6.0, 0.0, 30.0),
+        ("normal/flat", normal_pdf(0.0, 1.0), None, 1.0, -8.0, 8.0),
+        ("normal/cauchy", normal_pdf(0.0, 1.0), (0.0, 1.0), 2.0, -8.0, 8.0),
+        ("shifted/flat", normal_pdf(2.0, 0.5), None, 1.25, -2.0, 6.0),
+        ("gamma/flat", gamma3_pdf, None, 1.0, 0.0, 30.0),
+        ("gamma/cauchy", gamma3_pdf, (0.0, 2.0), 6.0, 0.0, 30.0),
     )
     worst = 0.0
     worst_case = ""
@@ -216,11 +191,11 @@ def test_07_brute_force_equivalence():
         values = pdf(grid)
         posterior = DensityEstimate(grid=grid, values=values, bandwidth=1.0)
         if cauchy_params is None:
-            ref, ref_pdf = ReferenceFunction.flat(), _flat_pdf
+            ref, ref_pdf = ReferenceFunction.flat(), flat_pdf
         else:
             ref = ReferenceFunction.from_family(
                 DensityFamily.cauchy(*cauchy_params))
-            ref_pdf = _cauchy_pdf(*cauchy_params)
+            ref_pdf = cauchy_pdf(*cauchy_params)
         via_grid = evalue_grid(surprise_fit(posterior, ref, null))
         via_brute = brute_force_evalue(pdf, ref_pdf, null, lo, hi, 2_000_000)
         err = abs(via_grid - via_brute)

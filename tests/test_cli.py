@@ -238,6 +238,31 @@ class TestExitCodes:
         assert main(["test", "--draws", str(bad), "--null", "0",
                      "--dim-theta", "3", "--dim-null", "2"]) == 2
 
+    def test_empty_draws_path_is_2_and_says_so(self, capsys):
+        assert main(["test", "--draws", "", *BASE[2:]]) == 2
+        assert capsys.readouterr().err == "fbst: draws file path is empty\n"
+
+    @pytest.mark.parametrize("name,text,column,message", [
+        ("few.csv", "0.1\n0.2\n0.3\n", None, "need at least 30 posterior draws, got 3"),
+        ("d.csv", ",theta\n" + "0.5,0.5\n" * 40, "0", "sample label must be nonempty"),
+        ("d.json", json.dumps({"": [0.5] * 40}), None, "sample label must be nonempty"),
+    ], ids=["too_few_draws", "empty_header_cell", "empty_json_key"])
+    def test_sample_error_names_its_file(self, capsys, tmp_path, name, text, column,
+                                         message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        extra = () if column is None else ("--column", column)
+        assert main(["test", "--draws", str(path), *BASE[2:], *extra]) == 2
+        assert capsys.readouterr().err == f"fbst: {path}: {message}\n"
+
+    def test_mass_check_prints_a_short_total(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        draws = np.random.default_rng(1).standard_normal(200)
+        path.write_text("\n".join(map(repr, draws.tolist())), encoding="utf-8")
+        assert main(["test", "--draws", str(path), *BASE[2:], "--bandwidth", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fbst: density integrates to ") and len(err) < 100, err
+
     def test_vanishing_reference_is_3(self, capsys):
         assert main(["test", *BASE, "--ref", "normal:mean=0,sd=0.04"]) == 3
         assert "vanishes" in capsys.readouterr().err
@@ -378,6 +403,7 @@ class TestExitCodes:
          "parameter 'sd' must be positive, got -1.0\n"),
         (("--ref", "table:{tmp}/missing_ref.csv"), None, 2,
          "fbst: {tmp}/missing_ref.csv: reference table not found\n"),
+        (("--ref", "table:"), None, 2, "fbst: reference table path is empty\n"),
         (("--ref", "normal:mean=0,sd=1,sd=0.5"), None, 1,
          "bad reference descriptor 'normal:mean=0,sd=1,sd=0.5': "
          "parameter 'sd' is given twice\n"),
@@ -386,7 +412,7 @@ class TestExitCodes:
         ((), "abc", 1,
          "fbst: SOURCE_DATE_EPOCH='abc' is not a Unix time in whole seconds\n"),
     ], ids=["dimensions", "grid_size", "bandwidth", "family_scale", "missing_table",
-            "repeated_key", "plain_column", "source_date_epoch"])
+            "empty_table_path", "repeated_key", "plain_column", "source_date_epoch"])
     def test_bad_argument_checked_before_draws_are_read(self, capsys, monkeypatch,
                                                         tmp_path, extra, epoch, code,
                                                         message):

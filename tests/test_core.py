@@ -16,8 +16,7 @@ from fbst import (DensityEstimate, DensityFamily, DimensionError, DomainError,
                   chisq_quantile, evalue_grid, evalue_mc, fbst, kde_eval,
                   kde_fit, pvalue_evalue, standardized_evalue, surprise_fit)
 from fbst.oracle import SEV_FIXTURES
-
-PRIOR_SCALE = math.sqrt(2.0) / 2.0
+from ground_truth import PRIOR_SCALE
 
 
 def normal_sample(mu=1.0, sigma=1.0, n=100_000, seed=8, label="theta"):
@@ -184,6 +183,12 @@ class TestSurpriseFit:
         with pytest.raises(DomainError, match="do not match the posterior grid"):
             SurpriseFunction(posterior=est, values=est.values[:-1], s_star=0.1,
                              null_value=0.0, s0_posterior_density=0.1)
+
+    def test_null_density_above_the_mode_is_rejected(self):
+        est = kde_fit(normal_sample(n=2_000))
+        with pytest.raises(DomainError, match=r"relative null ratio 2\.0 outside \[0, 1\]"):
+            SurpriseFunction(posterior=est, values=est.values, s_star=0.1, null_value=0.0,
+                             s0_posterior_density=2.0 * est.mode_density)
 
 
 TINY_SCALE_FAMILIES = [DensityFamily.normal(0.0, 1e-300),
@@ -743,3 +748,5 @@ def test_public_names_resolve():
     for gone in ("load_reference_table", "SUMMARY_HEADER"):
         assert not hasattr(fbst.io, gone)
     assert not hasattr(fbst.ReferenceFunction, "from_table")
+    assert not hasattr(fbst, "brute_force_evalue")
+    assert not hasattr(fbst.oracle, "brute_force_evalue")

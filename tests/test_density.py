@@ -518,6 +518,11 @@ class TestDensityEstimateValidation:
         with pytest.raises(DomainError):
             DensityEstimate(grid=bad, values=values, bandwidth=0.1)
 
+    def test_rejects_mismatched_lengths(self):
+        grid, values = self._args()
+        with pytest.raises(DomainError, match="^density needs matching grid and values"):
+            DensityEstimate(grid=grid, values=values[1:], bandwidth=0.1)
+
     def test_rejects_negative_values(self):
         grid, values = self._args()
         bad = values.copy()

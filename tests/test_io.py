@@ -485,6 +485,12 @@ class TestLoadReferenceTable:
         with pytest.raises(DrawsError, match=r"ref\.csv:4: expected two columns"):
             load_reference(f"table:{path}")
 
+    def test_one_row_is_too_few(self, tmp_path):
+        path = _write(tmp_path, "ref.csv", "theta,density\n0,1\n")
+        message = f"{path}: reference table needs at least two rows"
+        with pytest.raises(DrawsError, match=f"^{re.escape(message)}$"):
+            load_reference(f"table:{path}")
+
 
 class TestLoadReference:
     def test_flat_is_the_shared_instance(self):

@@ -6,17 +6,15 @@ sampler now draws them a window or chunk at a time and moves a tuple of
 floats; every chain must stay bit-identical to the copy's.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import fbst.oracle
-from fbst import (DomainError, SamplerError, TTestData,
-                  random_walk_metropolis, ttest_metropolis)
-
-PRIOR_SCALE = math.sqrt(2.0) / 2.0
+from fbst import (DomainError, SamplerError, random_walk_metropolis,
+                  ttest_metropolis)
+from ground_truth import PRIOR_SCALE, two_group_data
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = (0.2, 0.5)
@@ -73,9 +71,7 @@ def normal_log_density(mu, sigma):
 
 def ttest_target(monkeypatch):
     """The log posterior, start and step scales `ttest_metropolis` passes on."""
-    rng = np.random.default_rng(69)
-    data = TTestData(group1=rng.normal(0.0, 1.7, 18),
-                     group2=rng.normal(0.8, 3.0, 18))
+    data = two_group_data()
 
     class Captured(Exception):
         pass

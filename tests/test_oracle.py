@@ -4,30 +4,13 @@ import numpy as np
 import pytest
 
 from fbst import (DomainError, SamplerError, TTestData, analytic_evalue_flat,
-                  brute_force_evalue, fbst, random_walk_metropolis,
-                  ttest_metropolis)
-
-PRIOR_SCALE = math.sqrt(2.0) / 2.0
+                  fbst, random_walk_metropolis, ttest_metropolis)
+from ground_truth import (PRIOR_SCALE, brute_force_evalue, cauchy_pdf, flat_pdf,
+                          normal_pdf)
 
 # frozen output of a one-off 10^7-step run of brute_force_evalue on the
 # standard-normal density with a standard-Cauchy reference and null at 2
 CAUCHY_REF_PIN = 0.9544997361042172
-
-
-def normal_pdf(mu, sigma):
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - mu) / sigma
-        return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return pdf
-
-
-def cauchy_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return 1.0 / (math.pi * (1.0 + x * x))
-
-
-def flat(x):
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 class TestAnalyticEvalue:
@@ -50,16 +33,16 @@ class TestAnalyticEvalue:
 
 class TestBruteForceEvalue:
     def test_null_at_mode_is_zero(self):
-        assert brute_force_evalue(normal_pdf(0.0, 1.0), flat, 0.0,
+        assert brute_force_evalue(normal_pdf(0.0, 1.0), flat_pdf, 0.0,
                                   -10.0, 10.0, 200_000) == 0.0
 
     def test_flat_reference_matches_analytic(self):
-        value = brute_force_evalue(normal_pdf(1.0, 1.0), flat, 0.0,
+        value = brute_force_evalue(normal_pdf(1.0, 1.0), flat_pdf, 0.0,
                                    -9.0, 11.0, 1_000_000)
         assert value == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), abs=1e-4)
 
     def test_cauchy_reference_pinned_run(self):
-        value = brute_force_evalue(normal_pdf(0.0, 1.0), cauchy_pdf, 2.0,
+        value = brute_force_evalue(normal_pdf(0.0, 1.0), cauchy_pdf(0.0, 1.0), 2.0,
                                    -40.0, 40.0, 10_000_000)
         assert value == pytest.approx(CAUCHY_REF_PIN, abs=1e-9)
 
@@ -67,15 +50,20 @@ class TestBruteForceEvalue:
         (0.5, 1.0, 0.0), (2.0, 0.7, 0.5), (-1.0, 2.0, 1.0),
     ])
     def test_agrees_with_analytic_oracle(self, mu, sigma, null):
-        value = brute_force_evalue(normal_pdf(mu, sigma), flat, null,
+        value = brute_force_evalue(normal_pdf(mu, sigma), flat_pdf, null,
                                    mu - 12 * sigma, mu + 12 * sigma, 400_000)
         expected = analytic_evalue_flat(mu, sigma, null)
         assert value == pytest.approx(expected, abs=1e-4)
 
     def test_step_floor(self):
         with pytest.raises(DomainError):
-            brute_force_evalue(normal_pdf(0.0, 1.0), flat, 0.0,
+            brute_force_evalue(normal_pdf(0.0, 1.0), flat_pdf, 0.0,
                                -10.0, 10.0, 50_000)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0)])
+    def test_empty_range(self, lo, hi):
+        with pytest.raises(DomainError, match="empty integration range"):
+            brute_force_evalue(normal_pdf(0.0, 1.0), flat_pdf, 0.0, lo, hi, 100_000)
 
 
 class TestRandomWalkMetropolis:

@@ -225,6 +225,15 @@ class TestChisqQuantile:
         with pytest.raises(DomainError):
             chisq_quantile(p, 3.0)
 
+    # At df = 2 the bracket starts at x = 62, where F = 1 - exp(-31), so it
+    # doubles only for p above 1 - 3.4e-14: this p reaches that branch.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: near p = 1 the stop test "
+                       "accepts an x where F(x) has rounded to 1.0; needs the "
+                       "upper-tail inversion")
+    def test_near_one_matches_the_df2_closed_form(self):
+        p = 1.0 - 1e-14
+        assert chisq_quantile(p, 2.0) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-9)
+
 
 class TestChisqPdf:
     def test_matches_cdf_derivative(self):
@@ -234,6 +243,10 @@ class TestChisqPdf:
 
     def test_negative_is_zero(self):
         assert chisq_pdf(-1.0, 3.0) == 0.0
+
+    @pytest.mark.parametrize("df,expected", [(1.0, math.inf), (2.0, 0.5), (3.0, 0.0)])
+    def test_at_zero(self, df, expected):
+        assert chisq_pdf(0.0, df) == expected
 
 
 CHISQ_FUNCTIONS = {"pdf": chisq_pdf, "cdf": chisq_cdf, "sf": special_math.chisq_sf,

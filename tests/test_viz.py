@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbst import (DrawsFileSpec, PlotError, PlotSpec, PosteriorSample, ReferenceFunction,
-                  fbst_pipeline, load_draws, render_fbst_plot, surprise_fit)
+from fbst import (DensityEstimate, DrawsFileSpec, PlotError, PlotSpec, PosteriorSample,
+                  ReferenceFunction, fbst_pipeline, load_draws, render_fbst_plot,
+                  surprise_fit)
 
 SVG = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -131,6 +132,16 @@ class TestGeometry:
         root = _root(render_fbst_plot(far, PlotSpec()))
         assert all(el.get("class") != "fill-complement" for el in root.iter())
         assert any(el.get("class") == "fill-tangential" for el in root.iter())
+
+    def test_window_over_zero_density_without_cutoff_has_unit_height(self):
+        grid = np.linspace(0.0, 10.0, 101)
+        values = np.clip(1.0 - np.abs(grid - 7.5) / 2.5, 0.0, None) / 2.5  # mass on [5, 10]
+        posterior = DensityEstimate(grid=grid, values=values, bandwidth=0.5)
+        surprise = surprise_fit(posterior, ReferenceFunction.flat(), 7.0)
+        heights = [float(_root(render_fbst_plot(surprise, PlotSpec(
+            right_boundary=4.0, show_cutoff_line=cutoff))).get("data-surprise-max"))
+            for cutoff in (False, True)]
+        assert heights == [1.05, surprise.s_star * 1.05]
 
 
 class TestValidation:
