@@ -15,8 +15,7 @@ from .density import (DensityEstimate, PosteriorSample, kde_eval, kde_fit,
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
                      PlotError, ReferenceFunctionError, SamplerError)
 from .io import DrawsFileSpec, ResultDocument, format_result, load_draws
-from .oracle import (TTestData, analytic_evalue_flat, random_walk_metropolis,
-                     ttest_metropolis)
+from .oracle import TTestData, analytic_evalue_flat, ttest_metropolis
 from .special_math import (DensityFamily, chisq_cdf, chisq_pdf, chisq_quantile,
                            density_eval)
 from .viz import PlotSpec, render_fbst_plot
@@ -30,7 +29,7 @@ __all__ = [
     "analytic_evalue_flat",
     "chisq_cdf", "chisq_pdf", "chisq_quantile", "density_eval", "evalue_grid",
     "evalue_mc", "fbst", "fbst_pipeline", "format_result", "kde_eval",
-    "kde_fit", "load_draws", "pvalue_evalue", "random_walk_metropolis",
+    "kde_fit", "load_draws", "pvalue_evalue",
     "render_fbst_plot", "silverman_bandwidth",
     "standardized_evalue", "surprise_fit",
     "ttest_metropolis", "__version__",

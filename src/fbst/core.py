@@ -221,11 +221,12 @@ def evalue_grid(s: SurpriseFunction) -> float:
 
 def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:
     """Fraction of draws whose interpolated surprise strictly exceeds s*."""
-    draws = np.sort(sample.draws)  # so each segment search starts from the last
+    draws = sample.draws
     count = 0
     for start in range(0, draws.size, _MC_PIECE):
-        surprise = np.interp(draws[start:start + _MC_PIECE], s.grid, s.values,
-                             left=0.0, right=0.0)
+        # sorted, so each segment search starts from the last: the count is the same
+        piece = np.sort(draws[start:start + _MC_PIECE])
+        surprise = np.interp(piece, s.grid, s.values, left=0.0, right=0.0)
         count += int(np.count_nonzero(surprise > s.s_star))
     return count / draws.size
 

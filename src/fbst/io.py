@@ -174,7 +174,8 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
     """Read posterior draws per the file spec; finite values only."""
     path = Path(spec.path)
     if not path.is_file():
-        raise DrawsError(f"{path}: file not found")
+        reason = "is a directory" if path.is_dir() else "file not found"
+        raise DrawsError(f"{path}: {reason}")
     try:
         if spec.format == "plain":
             draws, label = _load_plain(path)
@@ -270,7 +271,8 @@ def load_reference(text: str) -> ReferenceFunction:
         raise DrawsError("reference table path is empty")
     path = Path(text[len("table:"):])
     if not path.is_file():
-        raise DrawsError(f"{path}: reference table not found")
+        reason = "is a directory" if path.is_dir() else "reference table not found"
+        raise DrawsError(f"{path}: {reason}")
     grid, values = [], []
     for i, (lineno, _, row) in enumerate(_csv_rows(path)):
         if i == 0 and len(row) == 2 and not _is_number(row[0]):

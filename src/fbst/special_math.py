@@ -100,20 +100,18 @@ def chisq_quantile(p: float, df: float) -> float:
     """Inverse of chisq_cdf in p, by bracketed third-order (Chebyshev) steps from
     the Wilson-Hilferty cube df (1 - c + z sqrt(c))^3 (c = 2/(9 df), z ~ the normal
     p-quantile), or for small p the small-x law F(x) ~ (x/2)^(df/2) / Gamma(df/2 + 1),
-    until |F(x) - p| <= 1e-15 p or the bracket is 1e-15 x wide."""
-    if not 0 < df < math.inf:
+    until |F(x) - p| <= 1e-15 p or the bracket is 1e-15 x wide.  For 1 - p below
+    1e-4 it solves the upper tail Q(x) = 1 - p to |Q(x) - q| <= 1e-15 q instead."""
+    if not 0 < df / 2.0 < math.inf:  # as chisq_cdf checks it: a subnormal df halves to 0
         raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
     if not 0 <= p < 1:
         raise DomainError(f"probability must lie in [0, 1), got {p}")
     if p == 0:
         return 0.0
-    lo = 0.0
-    hi = df + 20.0 * math.sqrt(2.0 * df) + 20.0
-    for _ in range(60):
-        if chisq_cdf(hi, df) >= p:
-            break
-        lo = hi
-        hi *= 2.0
+    if 1.0 - p < 1e-4:
+        return _chisq_upper_quantile(1.0 - p, df)
+    # Q(hi) < 5e-9 for every df (hi is 20 sd past the mean): [0, hi] holds the root
+    lo, hi = 0.0, df + 20.0 * math.sqrt(2.0 * df) + 20.0
     half, c = df / 2.0, 2.0 / (9.0 * df)
     cube = 1.0 - c + 4.91 * (p ** 0.14 - (1.0 - p) ** 0.14) * math.sqrt(c)
     small = math.exp((math.log(p) + math.lgamma(half + 1.0)) / half)  # x/2, small-x law
@@ -135,6 +133,23 @@ def chisq_quantile(p: float, df: float) -> float:
             step = x - t * (1.0 + 0.5 * t * ((half - 1.0) / x - 0.5))
         else:
             step = lo  # force the bisection branch
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    return x
+
+def _chisq_upper_quantile(q: float, df: float) -> float:
+    # where F rounds near 1, invert the upper tail Q(x) = q instead: Newton steps
+    # on log Q, exact for df = 2, inside a bracket that bisects when they leave it
+    lo, hi = 0.0, df + 20.0 * math.sqrt(2.0 * df) + 20.0
+    while chisq_sf(hi, df) > q:
+        lo, hi = hi, 2.0 * hi
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        tail, slope = chisq_sf(x, df), chisq_pdf(x, df)
+        lo, hi = (lo, x) if tail < q else (x, hi)
+        step = (x + math.log(tail / q) * tail / slope if tail > 0 and slope > 0
+                else 0.5 * (lo + hi))
+        if abs(tail - q) <= 1e-15 * q or min(hi - lo, abs(step - x)) <= 1e-15 * x:
+            break
         x = step if lo < step < hi else 0.5 * (lo + hi)
     return x
 

@@ -1,6 +1,7 @@
-"""The tests' ground truth, in one place: the example's prior scale and pinned
-two-group design, closed-form test densities, and a brute-force e-value
-integrator that shares no quadrature code with the core module."""
+"""The tests' ground truth, in one place: the example's prior scale, pinned
+two-group design and t-test target, closed-form test densities, and a
+brute-force e-value integrator that shares no quadrature code with the core
+module."""
 
 import math
 
@@ -16,6 +17,40 @@ def two_group_data() -> TTestData:
     rng = np.random.default_rng(69)
     return TTestData(group1=rng.normal(0.0, 1.7, 18),
                      group2=rng.normal(0.8, 3.0, 18))
+
+
+def ttest_target(data: TTestData, prior_scale: float):
+    """(log posterior, initial state, step scales) of the two-group t-test model
+    on (mu, delta, log sigma), each float computed in the order
+    `fbst.oracle.ttest_metropolis` computes it."""
+    g1, g2 = data.group1, data.group2
+    n1, n2 = g1.size, g2.size
+    total_n = n1 + n2
+    mean1, mean2 = float(g1.mean()), float(g2.mean())
+    ss1 = float(((g1 - mean1) ** 2).sum())
+    ss2 = float(((g2 - mean2) ** 2).sum())
+    pooled_sd = math.sqrt((ss1 + ss2) / (total_n - 2))
+
+    def log_post(theta):
+        mu, delta, log_sigma = theta
+        sigma = math.exp(log_sigma)
+        shift = sigma * delta / 2.0
+        resid = (ss1 + n1 * (mean1 - mu - shift) ** 2
+                 + ss2 + n2 * (mean2 - mu + shift) ** 2)
+        return (-total_n * log_sigma - resid / (2.0 * sigma * sigma)
+                - math.log1p((delta / prior_scale) ** 2))
+
+    initial = np.array([
+        (n1 * mean1 + n2 * mean2) / total_n,
+        (mean1 - mean2) / pooled_sd,
+        math.log(pooled_sd),
+    ])
+    step_scales = np.array([
+        pooled_sd / math.sqrt(total_n),
+        math.sqrt(1.0 / n1 + 1.0 / n2),
+        1.0 / math.sqrt(2.0 * (total_n - 2)),
+    ])
+    return log_post, initial, step_scales
 
 
 def flat_pdf(x):

@@ -242,6 +242,10 @@ class TestExitCodes:
         assert main(["test", "--draws", "", *BASE[2:]]) == 2
         assert capsys.readouterr().err == "fbst: draws file path is empty\n"
 
+    def test_directory_as_draws_is_2_and_says_so(self, capsys, tmp_path):
+        assert main(["test", "--draws", str(tmp_path), *BASE[2:]]) == 2
+        assert capsys.readouterr().err == f"fbst: {tmp_path}: is a directory\n"
+
     @pytest.mark.parametrize("name,text,column,message", [
         ("few.csv", "0.1\n0.2\n0.3\n", None, "need at least 30 posterior draws, got 3"),
         ("d.csv", ",theta\n" + "0.5,0.5\n" * 40, "0", "sample label must be nonempty"),
@@ -404,6 +408,7 @@ class TestExitCodes:
         (("--ref", "table:{tmp}/missing_ref.csv"), None, 2,
          "fbst: {tmp}/missing_ref.csv: reference table not found\n"),
         (("--ref", "table:"), None, 2, "fbst: reference table path is empty\n"),
+        (("--ref", "table:{tmp}"), None, 2, "fbst: {tmp}: is a directory\n"),
         (("--ref", "normal:mean=0,sd=1,sd=0.5"), None, 1,
          "bad reference descriptor 'normal:mean=0,sd=1,sd=0.5': "
          "parameter 'sd' is given twice\n"),
@@ -412,7 +417,7 @@ class TestExitCodes:
         ((), "abc", 1,
          "fbst: SOURCE_DATE_EPOCH='abc' is not a Unix time in whole seconds\n"),
     ], ids=["dimensions", "grid_size", "bandwidth", "family_scale", "missing_table",
-            "empty_table_path", "repeated_key", "plain_column", "source_date_epoch"])
+            "empty_table_path", "table_is_directory", "repeated_key", "plain_column", "source_date_epoch"])
     def test_bad_argument_checked_before_draws_are_read(self, capsys, monkeypatch,
                                                         tmp_path, extra, epoch, code,
                                                         message):

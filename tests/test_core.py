@@ -442,6 +442,12 @@ def mc_unsorted(sample, s):
     return float(np.mean(surprise > s.s_star))
 
 
+def mc_full_sort(sample, s):
+    """The MC e-value as counted over one sorted copy of every draw."""
+    surprise = np.interp(np.sort(sample.draws), s.grid, s.values, left=0.0, right=0.0)
+    return int(np.count_nonzero(surprise > s.s_star)) / sample.n
+
+
 class TestSortedMcCount:
     """evalue_mc counts sorted draws by piece, bit-equal to the unsorted mean."""
 
@@ -491,6 +497,18 @@ class TestSortedMcCount:
             ev = evalue_mc(sample, s)
             assert type(ev) is float
             assert ev == mc_unsorted(sample, s)
+
+    # a piece of 1000 draws is below the 1024 grid nodes, where np.interp
+    # computes each slope per draw instead of once per call
+    @pytest.mark.parametrize("piece", [1000, 1 << 16])
+    @pytest.mark.parametrize("seed", [3, 17, 40, 58])
+    def test_pieces_sorted_alone_equal_one_full_sort(self, monkeypatch, piece, seed):
+        monkeypatch.setattr(core, "_MC_PIECE", piece)
+        sample = normal_sample(mu=0.2, sigma=1.3, n=70_001, seed=seed)
+        est = kde_fit(sample)
+        for null in (-1.1, 0.4, 2.0):
+            s = surprise_fit(est, ReferenceFunction.flat(), null)
+            assert evalue_mc(sample, s) == mc_full_sort(sample, s)
 
 
 class TestPvalueEvalue:
@@ -748,5 +766,6 @@ def test_public_names_resolve():
     for gone in ("load_reference_table", "SUMMARY_HEADER"):
         assert not hasattr(fbst.io, gone)
     assert not hasattr(fbst.ReferenceFunction, "from_table")
-    assert not hasattr(fbst, "brute_force_evalue")
-    assert not hasattr(fbst.oracle, "brute_force_evalue")
+    for gone in ("brute_force_evalue", "random_walk_metropolis"):
+        assert not hasattr(fbst, gone)
+        assert not hasattr(fbst.oracle, gone)

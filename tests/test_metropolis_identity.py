@@ -1,9 +1,10 @@
-"""The chunked, float-valued sampler against a frozen copy of the array one.
+"""The t-test sampler that ships against a frozen copy of the array sampler.
 
-`array_metropolis` is a verbatim copy of `random_walk_metropolis` as it was
-when it drew all jumps and uniforms at once and moved an ndarray state.  The
-sampler now draws them a window or chunk at a time and moves a tuple of
-floats; every chain must stay bit-identical to the copy's.
+`array_metropolis` is a verbatim copy of the generic random-walk sampler as
+it was when it drew all jumps and uniforms at once and moved an ndarray
+state.  `ttest_metropolis` now draws them a window or chunk at a time and runs
+the t-test model inline on Python floats; run on `ground_truth.ttest_target`,
+the copy must give the same chain bit for bit.
 """
 
 import tracemalloc
@@ -12,9 +13,8 @@ import numpy as np
 import pytest
 
 import fbst.oracle
-from fbst import (DomainError, SamplerError, random_walk_metropolis,
-                  ttest_metropolis)
-from ground_truth import PRIOR_SCALE, two_group_data
+from fbst import DomainError, SamplerError, ttest_metropolis
+from ground_truth import PRIOR_SCALE, ttest_target, two_group_data
 
 _ADAPT_WINDOW = 50
 _ACCEPT_TARGET = (0.2, 0.5)
@@ -22,7 +22,8 @@ _ACCEPT_LIMITS = (0.1, 0.7)
 
 
 def array_metropolis(log_density, initial, iterations: int, seed: int,
-                     step_scales, initial_step: float = 1.4) -> np.ndarray:
+                     step_scales, initial_step: float = 1.4,
+                     accept_limits=_ACCEPT_LIMITS) -> np.ndarray:
     state = np.asarray(initial, dtype=float).copy()
     scales = np.asarray(step_scales, dtype=float)
     if state.shape != scales.shape or state.ndim != 1:
@@ -56,103 +57,76 @@ def array_metropolis(log_density, initial, iterations: int, seed: int,
         if i >= burn_in:
             kept[i - burn_in] = state
     rate = accepted_main / (iterations - burn_in)
-    if not _ACCEPT_LIMITS[0] <= rate <= _ACCEPT_LIMITS[1]:
+    if not accept_limits[0] <= rate <= accept_limits[1]:
         raise SamplerError(
-            f"acceptance rate {rate:.3f} outside [{_ACCEPT_LIMITS[0]}, "
-            f"{_ACCEPT_LIMITS[1]}] after adaptation")
+            f"acceptance rate {rate:.3f} outside [{accept_limits[0]}, "
+            f"{accept_limits[1]}] after adaptation")
     return kept
 
 
-def normal_log_density(mu, sigma):
-    def log_density(theta):
-        return -0.5 * ((theta[0] - mu) / sigma) ** 2
-    return log_density
-
-
-def ttest_target(monkeypatch):
-    """The log posterior, start and step scales `ttest_metropolis` passes on."""
+def both_chains(iterations, seed, **frozen):
+    """The shipped sampler's chain and the frozen copy's delta column."""
     data = two_group_data()
-
-    class Captured(Exception):
-        pass
-
-    def capture(log_density, initial, iterations, seed, step_scales):
-        raise Captured(log_density, initial, step_scales)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(fbst.oracle, "random_walk_metropolis", capture)
-        with pytest.raises(Captured) as info:
-            ttest_metropolis(data, PRIOR_SCALE, 100_000, seed=0)
-    return info.value.args
-
-
-def both_chains(log_density, initial, iterations, seed, step_scales):
-    new = random_walk_metropolis(log_density, initial, iterations, seed,
-                                 step_scales)
-    old = array_metropolis(log_density, initial, iterations, seed, step_scales)
-    return new, old
+    log_post, initial, step_scales = ttest_target(data, PRIOR_SCALE)
+    new = ttest_metropolis(data, PRIOR_SCALE, iterations, seed).draws
+    old = array_metropolis(log_post, initial, iterations, seed, step_scales,
+                           **frozen)
+    return new, old[:, 1]
 
 
 @pytest.mark.parametrize("iterations", [100_000, 100_037])
 @pytest.mark.parametrize("seed", [0, 3, 12])
 class TestSameChain:
-    def test_conjugate_normal_target(self, seed, iterations):
-        new, old = both_chains(normal_log_density(3.0, 2.0), np.array([0.0]),
-                               iterations, seed, np.array([2.0]))
-        assert new.shape == (iterations - iterations // 10, 1)
-        assert np.array_equal(new, old)
-
-    def test_ttest_target(self, seed, iterations, monkeypatch):
-        log_post, initial, step_scales = ttest_target(monkeypatch)
-        new, old = both_chains(log_post, initial, iterations, seed,
-                               step_scales)
-        assert new.shape == (iterations - iterations // 10, 3)
+    def test_ttest_target(self, seed, iterations):
+        new, old = both_chains(iterations, seed)
+        assert new.shape == (iterations - iterations // 10,)
         assert np.array_equal(new, old)
 
 
 class TestSameAdaptation:
-    # without adaptation either chain would accept outside [0.1, 0.7] and
-    # raise, so a returned chain shows the step moved far from its start
-    def test_narrow_target_shrinks_step(self):
-        new, old = both_chains(normal_log_density(0.0, 0.01), [0.0], 100_037,
-                               4, [1.0])
+    # from either start step, a chain that kept it would accept outside
+    # [0.1, 0.7] and raise, so a returned chain shows the step moved far
+    def test_narrow_target_shrinks_step(self, monkeypatch):
+        monkeypatch.setattr(fbst.oracle, "_INITIAL_STEP", 40.0)
+        new, old = both_chains(100_037, 4, initial_step=40.0)
         assert np.array_equal(new, old)
 
-    def test_wide_target_grows_step(self):
-        log_density = normal_log_density(5.0, 100.0)
-        new, old = both_chains(lambda theta: log_density(theta) - theta[1] ** 2,
-                               [0.0, 0.0], 100_000, 8, [0.01, 0.01])
+    def test_wide_target_grows_step(self, monkeypatch):
+        monkeypatch.setattr(fbst.oracle, "_INITIAL_STEP", 0.05)
+        new, old = both_chains(100_000, 8, initial_step=0.05)
         assert np.array_equal(new, old)
 
-    def test_short_chain_without_full_window(self):
-        new, old = both_chains(normal_log_density(0.0, 1.0), [0.0], 437, 5,
-                               [1.0])
-        assert np.array_equal(new, old)
-
-    def test_flat_target_fails_with_same_message(self):
-        messages = []
-        for sampler in (random_walk_metropolis, array_metropolis):
-            with pytest.raises(SamplerError) as info:
-                sampler(lambda theta: 0.0, np.array([0.0]), 100_000, 1,
-                        np.array([1.0]))
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    def test_acceptance_outside_limits_fails_with_same_message(self, monkeypatch):
+        limits = (0.9, 1.0)
+        monkeypatch.setattr(fbst.oracle, "_ACCEPT_LIMITS", limits)
+        data = two_group_data()
+        log_post, initial, step_scales = ttest_target(data, PRIOR_SCALE)
+        with pytest.raises(SamplerError) as new:
+            ttest_metropolis(data, PRIOR_SCALE, 100_000, 1)
+        with pytest.raises(SamplerError) as old:
+            array_metropolis(log_post, initial, 100_000, 1, step_scales,
+                             accept_limits=limits)
+        assert str(new.value) == str(old.value)
 
 
-def traced_peak(sampler) -> int:
+def traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        sampler(lambda theta: -0.5 * (theta[0] * theta[0] + theta[1] * theta[1]
-                                      + theta[2] * theta[2]),
-                np.zeros(3), 100_000, 0, np.ones(3))
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_peak_memory_below_three_quarters_of_array_sampler():
-    # the array sampler holds every jump and uniform at once (5.1 MiB here,
-    # 2.1 MiB of it the kept chain); the chunked one about 2.3-3.1 MiB
-    new = traced_peak(random_walk_metropolis)
-    old = traced_peak(array_metropolis)
+    # the array sampler holds every jump and uniform at once and keeps all
+    # three coordinates (5.1 MiB here); the shipped one a chunk of draws and
+    # delta alone (1.6 MiB).  Tracing makes every float allocation slow, so the
+    # array sampler's target gets each state as floats, which does not change
+    # what that sampler holds
+    data = two_group_data()
+    log_post, initial, step_scales = ttest_target(data, PRIOR_SCALE)
+    new = traced_peak(lambda: ttest_metropolis(data, PRIOR_SCALE, 100_000, 0))
+    old = traced_peak(lambda: array_metropolis(lambda theta: log_post(theta.tolist()),
+                                               initial, 100_000, 0, step_scales))
     assert new <= 0.75 * old, (new, old)

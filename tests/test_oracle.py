@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbst import (DomainError, SamplerError, TTestData, analytic_evalue_flat,
-                  fbst, random_walk_metropolis, ttest_metropolis)
+from fbst import DomainError, TTestData, analytic_evalue_flat, fbst, ttest_metropolis
 from ground_truth import (PRIOR_SCALE, brute_force_evalue, cauchy_pdf, flat_pdf,
                           normal_pdf)
 
@@ -64,54 +63,6 @@ class TestBruteForceEvalue:
     def test_empty_range(self, lo, hi):
         with pytest.raises(DomainError, match="empty integration range"):
             brute_force_evalue(normal_pdf(0.0, 1.0), flat_pdf, 0.0, lo, hi, 100_000)
-
-
-class TestRandomWalkMetropolis:
-    def test_conjugate_normal_target_within_three_mcse(self):
-        mu, sigma = 3.0, 2.0
-
-        def log_density(theta):
-            return -0.5 * ((theta[0] - mu) / sigma) ** 2
-
-        chain = random_walk_metropolis(log_density, np.array([0.0]),
-                                       200_000, seed=57,
-                                       step_scales=np.array([sigma]))
-        draws = chain[:, 0]
-        batches = draws[:180_000].reshape(100, 1800).mean(axis=1)
-        mcse = batches.std(ddof=1) / math.sqrt(batches.size)
-        assert abs(draws.mean() - mu) < 3.0 * mcse
-        assert draws.std() == pytest.approx(sigma, rel=0.05)
-
-    def test_flat_target_fails_tuning(self):
-        with pytest.raises(SamplerError):
-            random_walk_metropolis(lambda theta: 0.0, np.array([0.0]),
-                                   100_000, seed=1,
-                                   step_scales=np.array([1.0]))
-
-    @pytest.mark.parametrize("iterations", [0, -5])
-    def test_iterations_below_one(self, iterations):
-        with pytest.raises(DomainError, match=f"got {iterations}$"):
-            random_walk_metropolis(lambda theta: 0.0, np.array([0.0]),
-                                   iterations, seed=1,
-                                   step_scales=np.array([1.0]))
-
-    def test_log_density_receives_tuple_of_floats(self):
-        seen = []
-
-        def log_density(theta):
-            seen.append(theta)
-            return -0.5 * theta[0] ** 2
-
-        random_walk_metropolis(log_density, np.array([0.0]), 100, seed=1,
-                               step_scales=np.array([3.0]))
-        assert all(type(theta) is tuple and type(theta[0]) is float
-                   for theta in seen)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            random_walk_metropolis(lambda theta: 0.0, np.array([0.0, 1.0]),
-                                   100_000, seed=1,
-                                   step_scales=np.array([1.0]))
 
 
 class TestTTestMetropolis:

@@ -227,12 +227,64 @@ class TestChisqQuantile:
 
     # At df = 2 the bracket starts at x = 62, where F = 1 - exp(-31), so it
     # doubles only for p above 1 - 3.4e-14: this p reaches that branch.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: near p = 1 the stop test "
-                       "accepts an x where F(x) has rounded to 1.0; needs the "
-                       "upper-tail inversion")
     def test_near_one_matches_the_df2_closed_form(self):
         p = 1.0 - 1e-14
         assert chisq_quantile(p, 2.0) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-9)
+
+    # the other rows of the near-one table: 50-digit values of the upper-tail
+    # inverse at q = 1 - p, and for df = 3 the closed form
+    # Q(x) = erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2)
+    @pytest.mark.parametrize("p,df,expected", [
+        (1.0 - 1e-15, 2.0, 69.079151984681764033),
+        (1.0 - 1e-14, 3.0, 68.274612538651647873),
+        (1.0 - 1e-15, 3.0, 72.944138671129390748),
+    ])
+    def test_near_one_rows(self, p, df, expected):
+        x = chisq_quantile(p, df)
+        assert x == pytest.approx(expected, rel=1e-12)
+        if df == 3.0:
+            upper = math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+            assert upper / (1.0 - p) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [0.5, 1, 2, 3, 8, 30, 1000])
+    @pytest.mark.parametrize("q", [9.9e-5, 1e-8, 1e-12, 2 ** -53])
+    def test_upper_tail_round_trip(self, q, df):
+        x = chisq_quantile(1.0 - q, df)
+        q = 1.0 - (1.0 - q)  # the upper tail the call was given
+        assert special_math.chisq_sf(x, df) / q == pytest.approx(1.0, rel=1e-12)
+
+    # recorded before the upper-tail inversion, from a grid drawn with
+    # default_rng(2718) plus rows near both ends; each 1 - p is at least 1e-4
+    @pytest.mark.parametrize("p,df,expected", [
+        (0.2651852080904956, 1, 0.11473652622279107),
+        (0.0076099478193862365, 1, 9.096962488451611e-05),
+        (0.8649440558948897, 3, 5.560646570121897),
+        (0.5867328048305722, 8, 8.209612316485721),
+        (0.14093480742575418, 3, 0.7597620149206336),
+        (0.3334830328672533, 30, 26.16824009448741),
+        (0.25658002625578086, 1, 0.10714348382485187),
+        (0.184283086532611, 5, 2.235328339071995),
+        (0.2004792509784401, 1, 0.06449943667546668),
+        (0.3542546801291314, 30, 26.57005645585956),
+        (0.8903469324737047, 2, 4.420867657787084),
+        (0.5513059838123615, 12, 11.962524765473349),
+        (0.12447597383279138, 1, 0.024537898207415858),
+        (0.8034007469779649, 3, 4.682244290537927),
+        (0.7676073242519879, 12, 15.167711764188043),
+        (0.188029030023672, 3, 0.9556937868309936),
+        (0.16456562078508796, 2, 0.3596069495347304),
+        (0.3606574461454766, 1, 0.21960303303753248),
+        (0.08554068839572186, 1, 0.011538102320530902),
+        (0.1611697969553716, 2, 0.3514939463158157),
+        (1e-12, 3, 2.417987942718026e-08),
+        (1e-09, 8, 0.02495550624836611),
+        (0.99, 1, 6.634896601021213),
+        (0.9995, 30, 62.161852869180684),
+        (0.9998, 2, 17.034386382832693),
+        (0.9998, 12, 37.29607541480983),
+    ])
+    def test_lower_path_unchanged(self, p, df, expected):
+        assert chisq_quantile(p, df) == expected
 
 
 class TestChisqPdf:
