@@ -15,7 +15,7 @@ from .density import (DensityEstimate, PosteriorSample, kde_eval, kde_fit,
 from .errors import (DimensionError, DomainError, DrawsError, FbstError,
                      PlotError, ReferenceFunctionError, SamplerError)
 from .io import DrawsFileSpec, ResultDocument, format_result, load_draws
-from .oracle import TTestData, analytic_evalue_flat, ttest_metropolis
+from .oracle import TTestData, ttest_metropolis
 from .special_math import (DensityFamily, chisq_cdf, chisq_pdf, chisq_quantile,
                            density_eval)
 from .viz import PlotSpec, render_fbst_plot
@@ -26,7 +26,6 @@ __all__ = [
     "PlotError", "PlotSpec", "PosteriorSample", "ReferenceFunction",
     "ReferenceFunctionError", "ResultDocument", "SamplerError",
     "SurpriseFunction", "TTestData",
-    "analytic_evalue_flat",
     "chisq_cdf", "chisq_pdf", "chisq_quantile", "density_eval", "evalue_grid",
     "evalue_mc", "fbst", "fbst_pipeline", "format_result", "kde_eval",
     "kde_fit", "load_draws", "pvalue_evalue",

@@ -1,8 +1,7 @@
-"""Command-line front end: `fbst test`, `fbst plot`, `fbst selfcheck`.
+"""Command-line front end: `fbst test` and `fbst plot`.
 
 Exit codes: 0 success, 1 usage, 2 input/parse, 3 numerical, 4 output write
-failure, 5 selfcheck fixture failure.  Results go to standard output,
-diagnostics to standard error.
+failure.  Results go to standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -11,15 +10,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .core import check_run, fbst_pipeline, standardized_evalue
-from .density import DEFAULT_GRID_SIZE, PosteriorSample
+from .core import check_run, fbst_pipeline
+from .density import DEFAULT_GRID_SIZE
 from .errors import DomainError, DrawsError, FbstError
 from .io import (FORMATS, DrawsCache, DrawsFileSpec, ResultDocument, format_result,
                  load_draws, load_reference, timestamp_now, write_text)
-from .oracle import SEV_FIXTURES, analytic_evalue_flat
-from .special_math import chisq_cdf, chisq_quantile
 from .viz import PlotSpec, render_fbst_plot
 
 
@@ -74,8 +69,6 @@ def _build_parser() -> _Parser:
     plot.add_argument("--right-boundary", type=float)
     plot.add_argument("--no-cutoff-line", action="store_true",
                       help="omit the dashed line at s*")
-
-    commands.add_parser("selfcheck", help="run the built-in oracle fixtures")
     return parser
 
 
@@ -130,46 +123,13 @@ def run_plot(args, parser: _Parser) -> int:
     write_text(args.out, render_fbst_plot(surprise, replace(spec, x_label=sample.label)))
     return 0
 
-def run_selfcheck() -> int:
-    failures = 0
-
-    def report(name: str, ok: bool) -> None:
-        nonlocal failures
-        failures += not ok
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
-
-    for ev, k, h, expected in SEV_FIXTURES:
-        _, sev = standardized_evalue(ev, k, h)
-        ok = abs(sev - expected) <= 1e-3 * expected
-        report(f"sev fixture (ev={ev:.7g}, k={k}, h={h}) -> {sev:.7g} "
-               f"expected {expected:.7g}", ok)
-
-    worst = max(abs(chisq_cdf(chisq_quantile(p, df), df) - p)
-                for df in (1, 2, 3, 7, 8, 50)
-                for p in (0.1, 0.5, 0.9, 0.99))
-    report(f"chi-square roundtrip max error {worst:.2e}", worst < 1e-10)
-
-    rng = np.random.default_rng(20260819)
-    sample = PosteriorSample(draws=rng.standard_normal(200_000) + 1.0,
-                             label="theta")
-    result = fbst_pipeline(sample, 0.0, 3, 2)[0]
-    expected = analytic_evalue_flat(1.0, 1.0, 0.0)
-    ok = abs(result.e_value_against - expected) < 0.01
-    report(f"oracle N(1,1) vs theta0=0 -> {result.e_value_against:.4f} "
-           f"expected {expected:.4f}", ok)
-
-    return 0 if failures == 0 else 5
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "test":
             return run_test(args, parser)
-        if args.command == "plot":
-            return run_plot(args, parser)
-        return run_selfcheck()
+        return run_plot(args, parser)
     except (FbstError, OSError) as err:
         print(f"fbst: {err}", file=sys.stderr)
         return 2 if isinstance(err, DrawsError) else 3 if isinstance(err, FbstError) else 4

@@ -19,7 +19,8 @@ import numpy as np
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
                       check_fit, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
-from .special_math import DensityFamily, chisq_cdf, chisq_quantile, chisq_sf, density_eval
+from .special_math import (MAX_DF, DensityFamily, chisq_cdf, chisq_quantile, chisq_sf,
+                           density_eval)
 
 ESTIMATORS = ("grid", "monte_carlo")
 _MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
@@ -260,6 +261,8 @@ def _check_dims(k: int, h: int) -> None:
         raise DimensionError(f"dimensions must be integers, got {k!r} and {h!r}")
     if k < 1:
         raise DimensionError(f"parameter dimension must be positive, got {k}")
+    if k > MAX_DF:  # the largest df a test hands the chi-square functions
+        raise DimensionError(f"parameter dimension must be at most {MAX_DF}, got {k}")
     if h < 0:
         raise DimensionError(f"null dimension must be nonnegative, got {h}")
     if h >= k:

@@ -112,6 +112,9 @@ class DensityEstimate(Frozen):
             raise DomainError(
                 f"density integrates to {total:.6g}, outside [0.99, 1.001]")
         peak = int(np.argmax(values))
+        if not 2.0 ** -500 <= values[peak] <= 2.0 ** 500:  # slopes, ~ peak^2, stay floats
+            raise DomainError(f"density peak {values[peak]:g} lies outside "
+                              "[2^-500, 2^500]: rescale the draws and the null")
         self._freeze(grid=grid, values=values, segment_mass=mass, total_mass=total,
                      mode_location=float(grid[peak]), mode_density=float(values[peak]))
 
@@ -120,13 +123,16 @@ def silverman_bandwidth(sample: PosteriorSample) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
     draws = sample.draws
     n = draws.size
+    e = math.frexp(max(-float(draws.min()), float(draws.max())))[1]
+    e = e if abs(e) > 256 else 0  # where squares leave the floats, scale by exact 2^-e
+    draws = np.ldexp(draws, -e) if e else draws
     sd = float(draws.std(ddof=1))
     if sd == 0:
         raise DrawsError("all draws are identical; bandwidth undefined")
     q75, q25 = np.percentile(draws, [75, 25], method="inverted_cdf")
     iqr = float(q75 - q25)
     spread = sd if iqr == 0 else min(sd, iqr / 1.34)
-    return 0.9 * spread * n ** (-0.2)
+    return math.ldexp(0.9 * spread * n ** (-0.2), e)
 
 
 def check_fit(bandwidth: float | None, grid_size: int) -> None:
@@ -156,6 +162,10 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h
     if not math.isfinite(hi - lo):
         raise DomainError(f"bandwidth {h:g} makes the grid span overflow")
+    magnitude = max(-lo, hi)  # nodes closer than 64 ulps of it would round unevenly
+    if not (hi - lo) / (grid_size - 1) > 64.0 * np.spacing(magnitude):
+        raise DomainError(f"the grid cannot resolve draws of magnitude {magnitude:g} spread "
+                          f"over {np.ptp(draws):g}: subtract a constant from draws and null")
     grid = np.linspace(lo, hi, int(grid_size))
     scaled_grid = grid / h
     scaled_draws = draws / h

@@ -1,7 +1,5 @@
-"""What the package ships of its ground truth: the published standardized
-e-values (`SEV_FIXTURES`) and the closed-form e-value `analytic_evalue_flat`,
-which `fbst selfcheck` checks against, and the two-group t-test Metropolis
-sampler that validation and the benchmark draw posteriors from."""
+"""The two-group t-test Metropolis sampler that validation and the benchmark
+draw effect-size posteriors from: `TTestData` and `ttest_metropolis`."""
 
 from __future__ import annotations
 
@@ -12,15 +10,6 @@ import numpy as np
 
 from .density import Frozen, PosteriorSample
 from .errors import DomainError, SamplerError
-
-# (ev_against, k, h, sev): the four summary blocks printed by the reference
-# implementation
-SEV_FIXTURES = (
-    (0.8305998, 3, 2, 0.0248695),
-    (0.9032063, 3, 2, 0.01189972),
-    (0.9859827, 3, 2, 0.001123303),
-    (0.9758885, 8, 7, 0.00002672151),
-)
 
 _INITIAL_STEP = 1.4  # global step factor before adaptation
 _ADAPT_WINDOW = 50
@@ -44,14 +33,6 @@ class TTestData(Frozen):
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} contains non-finite observations")
             self._freeze(**{name: arr})
-
-
-def analytic_evalue_flat(mu: float, sigma: float, null_value: float) -> float:
-    """Exact flat-reference e-value of N(mu, sigma^2): 2 Phi(|z|) - 1."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    z = abs(null_value - mu) / sigma
-    return math.erf(z / math.sqrt(2.0))
 
 
 def ttest_metropolis(data: TTestData, prior_scale: float, iterations: int,

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import DomainError
 
+MAX_DF = 10_000  # above it the tails lose 1e-10 of relative accuracy, so it is refused
 _EPS = 1e-15
 _FPMIN = 1e-300
-_ITMAX = 500
+_ITMAX = 1000  # the series needs about 560 terms at df = MAX_DF
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -32,8 +33,8 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if term < total * _EPS:  # every term and the total are positive
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise DomainError(f"chi-square series did not converge at df = {2.0 * a:g}")
 
 def _gamma_cont_fraction(a: float, x: float) -> float:
     # modified Lentz evaluation of the continued fraction for Q(a,x)
@@ -54,13 +55,17 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if -_EPS < delta - 1.0 < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    raise DomainError(f"chi-square continued fraction did not converge at df = {2.0 * a:g}")
+
+def _check_df(df: float) -> None:
+    if not (0 < df <= MAX_DF and df / 2.0 > 0):  # a subnormal df halves to 0
+        raise DomainError(f"degrees of freedom must be positive and finite, and at most "
+                          f"{MAX_DF}, got {df}")
 
 def chisq_pdf(x: float, df: float) -> float:
     """Chi-square density with df degrees of freedom."""
-    if not 0 < df < math.inf:
-        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    _check_df(df)
     if not math.isfinite(x):
         raise DomainError(f"chi-square argument must be finite, got {x}")
     if x < 0:
@@ -76,9 +81,8 @@ def chisq_pdf(x: float, df: float) -> float:
 def _chisq_tails(x: float, df: float) -> tuple[float, float]:
     # (F, 1 - F) as (P, Q)(a, y) at a = df/2, y = x/2: the series gives P for
     # y < a + 1, the continued fraction Q from there on, and the other tail is 1 minus it
+    _check_df(df)
     a, y = df / 2.0, x / 2.0
-    if not 0 < a < math.inf:
-        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
     if not 0 <= x < math.inf:
         raise DomainError(f"chi-square argument must be finite and nonnegative, got {x}")
     if y < a + 1.0:
@@ -102,8 +106,7 @@ def chisq_quantile(p: float, df: float) -> float:
     p-quantile), or for small p the small-x law F(x) ~ (x/2)^(df/2) / Gamma(df/2 + 1),
     until |F(x) - p| <= 1e-15 p or the bracket is 1e-15 x wide.  For 1 - p below
     1e-4 it solves the upper tail Q(x) = 1 - p to |Q(x) - q| <= 1e-15 q instead."""
-    if not 0 < df / 2.0 < math.inf:  # as chisq_cdf checks it: a subnormal df halves to 0
-        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    _check_df(df)
     if not 0 <= p < 1:
         raise DomainError(f"probability must lie in [0, 1), got {p}")
     if p == 0:

@@ -1,7 +1,8 @@
-"""The tests' ground truth, in one place: the example's prior scale, pinned
-two-group design and t-test target, closed-form test densities, and a
-brute-force e-value integrator that shares no quadrature code with the core
-module."""
+"""The tests' ground truth, in one place: the published standardized
+e-values, the closed-form e-value of a normal posterior, the example's prior
+scale, pinned two-group design and t-test target, closed-form test densities,
+and a brute-force e-value integrator that shares no quadrature code with the
+core module."""
 
 import math
 
@@ -9,7 +10,24 @@ import numpy as np
 
 from fbst import DomainError, TTestData
 
+# (ev_against, k, h, sev): the four summary blocks printed by the reference
+# implementation
+SEV_FIXTURES = (
+    (0.8305998, 3, 2, 0.0248695),
+    (0.9032063, 3, 2, 0.01189972),
+    (0.9859827, 3, 2, 0.001123303),
+    (0.9758885, 8, 7, 0.00002672151),
+)
+
 PRIOR_SCALE = math.sqrt(2.0) / 2.0  # of the Cauchy prior on the effect size
+
+
+def analytic_evalue_flat(mu: float, sigma: float, null_value: float) -> float:
+    """Exact flat-reference e-value of N(mu, sigma^2): 2 Phi(|z|) - 1."""
+    if not sigma > 0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    z = abs(null_value - mu) / sigma
+    return math.erf(z / math.sqrt(2.0))
 
 
 def two_group_data() -> TTestData:

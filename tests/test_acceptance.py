@@ -18,9 +18,9 @@ from fbst import (DensityEstimate, DensityFamily, PosteriorSample,
                   ReferenceFunction, chisq_cdf, chisq_quantile, evalue_grid,
                   evalue_mc, fbst_pipeline, kde_fit, render_fbst_plot,
                   standardized_evalue, surprise_fit, ttest_metropolis, PlotSpec)
-from fbst.oracle import SEV_FIXTURES
-from ground_truth import (PRIOR_SCALE, brute_force_evalue, cauchy_pdf, flat_pdf,
-                          gamma3_pdf, normal_pdf, two_group_data)
+from ground_truth import (PRIOR_SCALE, SEV_FIXTURES, analytic_evalue_flat,
+                          brute_force_evalue, cauchy_pdf, flat_pdf, gamma3_pdf,
+                          normal_pdf, two_group_data)
 
 DATA = Path(__file__).parent / "data"
 SVG = "{http://www.w3.org/2000/svg}"
@@ -113,7 +113,7 @@ def test_02_analytic_oracle_both_estimators():
                                  label="theta")
         posterior = kde_fit(sample)
         surprise = surprise_fit(posterior, ReferenceFunction.flat(), 0.0)
-        expected = math.erf(mu / math.sqrt(2.0))
+        expected = analytic_evalue_flat(mu, 1.0, 0.0)
         worst = max(worst,
                     abs(evalue_grid(surprise) - expected),
                     abs(evalue_mc(sample, surprise) - expected))

@@ -369,6 +369,14 @@ class TestExitCodes:
         assert main(["test", "--draws", DRAWS, "--null", "0",
                      "--dim-theta", "2", "--dim-null", "2"]) == 3
 
+    def test_dim_theta_past_the_df_limit_is_3_before_the_draws_are_read(self, capsys,
+                                                                          tmp_path):
+        missing = tmp_path / "none.csv"
+        assert main(["test", "--draws", str(missing), "--null", "0",
+                     "--dim-theta", "100000000000000000000", "--dim-null", "1"]) == 3
+        assert capsys.readouterr().err == ("fbst: parameter dimension must be at most "
+                                           "10000, got 100000000000000000000\n")
+
     def test_plot_window_outside_grid_is_3(self, capsys, tmp_path):
         assert main(["plot", *BASE, "--out", str(tmp_path / "p.svg"),
                      "--left-boundary", "50", "--right-boundary", "60"]) == 3
@@ -448,11 +456,11 @@ class TestExitCodes:
 
 
 class TestSelfcheck:
-    def test_all_fixtures_pass(self, capsys):
-        assert main(["selfcheck"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 6
-        assert all(line.endswith(": pass") for line in lines)
+    def test_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck"])
+        assert exc.value.code == 1
+        assert "invalid choice: 'selfcheck'" in capsys.readouterr().err
 
 
 class TestGoldenFiles:

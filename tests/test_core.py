@@ -11,12 +11,11 @@ import pytest
 
 from fbst import core
 from fbst import (DensityEstimate, DensityFamily, DimensionError, DomainError,
-                  FbstResult, PosteriorSample, ReferenceFunction,
+                  FbstError, FbstResult, PosteriorSample, ReferenceFunction,
                   ReferenceFunctionError, SurpriseFunction, chisq_cdf,
                   chisq_quantile, evalue_grid, evalue_mc, fbst, kde_eval,
                   kde_fit, pvalue_evalue, standardized_evalue, surprise_fit)
-from fbst.oracle import SEV_FIXTURES
-from ground_truth import PRIOR_SCALE
+from ground_truth import PRIOR_SCALE, SEV_FIXTURES
 
 
 def normal_sample(mu=1.0, sigma=1.0, n=100_000, seed=8, label="theta"):
@@ -700,6 +699,44 @@ class TestEvalueProperties:
                 assert abs(ev_moved - ev) <= bound, (null, estimator)
 
 
+class TestExtremeScale:
+    """Draws at the ends of the float range, or whose spread the grid cannot
+    resolve at their magnitude, fail with an FbstError that names the cause and
+    the remedy, and no numpy warning on the way; a resolvable offset answers."""
+
+    NORMAL = np.random.default_rng(0).standard_normal(10_000)
+    CASES = {
+        "times-1e300": (NORMAL * 1e300, 0.0, r"density peak 3\.9\d*e-301 lies outside "
+                                             r"\[2\^-500, 2\^500\]: rescale the draws"),
+        "times-1e-300": (NORMAL * 1e-300, 0.0, r"density peak 3\.9\d*e\+299 lies outside "
+                                               r"\[2\^-500, 2\^500\]: rescale the draws"),
+        "1e15-plus": (1e15 + NORMAL, 1e15, r"cannot resolve draws of magnitude 1e\+15 "
+                                           r"spread over 7\.375: subtract a constant"),
+        "1e8-plus-1e-8": (1e8 + 1e-8 * NORMAL, 1e8, r"cannot resolve draws of magnitude "
+                                                    r"1e\+08 spread over 7\.4\d*e-08"),
+    }
+
+    @pytest.mark.parametrize("estimator", core.ESTIMATORS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fails_with_the_cause(self, case, estimator):
+        draws, null, message = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FbstError, match=message):
+                fbst(PosteriorSample(draws=draws, label="theta"), null, 3, 2,
+                     estimator=estimator)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9])
+    def test_a_resolvable_offset_still_answers(self, offset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fbst(PosteriorSample(draws=offset + self.NORMAL, label="theta"),
+                          offset + 1.0, 3, 2)
+        assert 0.0 <= result.p_value <= 1.0 and 0.0 <= result.sev <= 1.0
+        assert result.e_value_against == pytest.approx(math.erf(1.0 / math.sqrt(2.0)),
+                                                       abs=0.02)
+
+
 class TestIntegerDimensions:
     @pytest.mark.parametrize("k,h", [(3.5, 2), (3, 2.0), ("3", 2), (3, None)])
     def test_dimensions_must_be_integers(self, k, h):
@@ -766,6 +803,7 @@ def test_public_names_resolve():
     for gone in ("load_reference_table", "SUMMARY_HEADER"):
         assert not hasattr(fbst.io, gone)
     assert not hasattr(fbst.ReferenceFunction, "from_table")
-    for gone in ("brute_force_evalue", "random_walk_metropolis"):
+    for gone in ("brute_force_evalue", "random_walk_metropolis", "analytic_evalue_flat"):
         assert not hasattr(fbst, gone)
         assert not hasattr(fbst.oracle, gone)
+    assert not hasattr(fbst.oracle, "SEV_FIXTURES")

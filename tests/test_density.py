@@ -186,6 +186,25 @@ class TestSilvermanBandwidth:
         expected = 0.9 * sd * 100 ** (-0.2)
         assert silverman_bandwidth(sample_of(draws)) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-996, -600, -257, 257, 600, 996])
+    def test_extreme_scale_is_exact(self, exponent):
+        """Draws past 2^+-256 give the bandwidth of the draws scaled back, bit for bit."""
+        draws = np.random.default_rng(12).standard_normal(10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = silverman_bandwidth(sample_of(np.ldexp(draws, exponent)))
+        assert scaled == math.ldexp(silverman_bandwidth(sample_of(draws)), exponent)
+
+    def test_common_path_allocates_no_copy_of_the_draws(self):
+        sample = sample_of(np.random.default_rng(13).standard_normal(1_000_000))
+        tracemalloc.start()
+        try:
+            silverman_bandwidth(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sample.draws.nbytes  # std's one temporary of n floats
+
 
 class TestKdeFit:
     def test_two_kernel_hand_computation(self):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbst import DomainError, TTestData, analytic_evalue_flat, fbst, ttest_metropolis
-from ground_truth import (PRIOR_SCALE, brute_force_evalue, cauchy_pdf, flat_pdf,
-                          normal_pdf)
+from fbst import DomainError, TTestData, fbst, ttest_metropolis
+from ground_truth import (PRIOR_SCALE, analytic_evalue_flat, brute_force_evalue,
+                          cauchy_pdf, flat_pdf, normal_pdf)
 
 # frozen output of a one-off 10^7-step run of brute_force_evalue on the
 # standard-normal density with a standard-Cauchy reference and null at 2

@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -319,6 +321,69 @@ def test_subnormal_df_is_a_domain_error(name):
     # df / 2 rounds to zero, where the series and the fraction are undefined
     with pytest.raises(DomainError, match="degrees of freedom must be positive and finite"):
         CHISQ_FUNCTIONS[name](0.5, 5e-324)
+
+
+class TestDfLimit:
+    """Up to MAX_DF each call agrees with an independent implementation to 1e-10
+    relative to the smaller tail; past it each one is a DomainError."""
+
+    @pytest.mark.parametrize("name", list(CHISQ_FUNCTIONS))
+    @pytest.mark.parametrize("df", [10_000.5, 1e5, 1e17, 10 ** 20, 10 ** 400],
+                             ids=["10000.5", "1e5", "1e17", "int1e20", "int1e400"])
+    def test_past_the_limit_is_a_domain_error(self, name, df):
+        with pytest.raises(DomainError, match=re.escape(f"at most 10000, got {df}")):
+            CHISQ_FUNCTIONS[name](0.5, df)
+
+    @pytest.mark.parametrize("df", [special_math.MAX_DF, special_math.MAX_DF - 0.5])
+    def test_both_loops_converge_at_the_limit(self, df):
+        # both loops are longest at x/2 = df/2 + 1, where the series hands over
+        for x in (df + 2.0 - 1e-9, df + 2.0, df, df + 2.0 + math.sqrt(2.0 * df)):
+            tail = special_math.chisq_sf(x, df)
+            assert 0.0 < tail < 1.0 and chisq_cdf(x, df) < 1.0
+        assert 0.0 < chisq_quantile(0.5, df) < df
+
+    def test_an_unconverged_loop_raises(self, monkeypatch):
+        monkeypatch.setattr(special_math, "_ITMAX", 5)
+        with pytest.raises(DomainError, match="series did not converge at df = 50"):
+            chisq_cdf(49.0, 50.0)
+        with pytest.raises(DomainError, match="fraction did not converge at df = 50"):
+            chisq_cdf(60.0, 50.0)
+
+    def test_converged_values_keep_their_bits(self):
+        """pdf, both tails and both quantile branches over a seeded grid with df up
+        to 5000, where every loop converged before the limit: the digest was
+        recorded from the code before it."""
+        rng = np.random.default_rng(2810)
+        out = []
+        for df, z, p in zip(10.0 ** rng.uniform(math.log10(0.5), math.log10(5000.0), 300),
+                            rng.uniform(-12.0, 12.0, 300), rng.uniform(0.0, 1.0, 300)):
+            df, p = float(df), float(p)
+            x = abs(df + float(z) * math.sqrt(2.0 * df))
+            q = 1.0 - 10.0 ** -(1.0 + 14.0 * p)  # the upper-tail branch from 1 - p = 0.1
+            out += [chisq_pdf(x, df), chisq_cdf(x, df), special_math.chisq_sf(x, df),
+                    chisq_quantile(p, df), chisq_quantile(q, df)]
+        assert hashlib.sha256(np.array(out).tobytes()).hexdigest() == \
+            "512d95644870e58bb591fb291229528bf55abb551d6e0dcb1e3a1e5a21a618e3"
+
+    def test_matches_scipy_up_to_the_limit(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        rng = np.random.default_rng(5)
+        for df in [0.5, 1.0, 2.0, 3.0, 50.0, 1000.0, 10_000.0,
+                   *10.0 ** rng.uniform(math.log10(0.5), 4.0, 60)]:
+            df = float(df)
+            for z in (*np.linspace(-10.0, 10.0, 21), 20.0, 40.0):
+                x = df + z * math.sqrt(2.0 * df)
+                if x <= 0:
+                    continue
+                lower, upper = chi2.cdf(x, df), chi2.sf(x, df)
+                ours = chisq_cdf(x, df) if lower <= upper else special_math.chisq_sf(x, df)
+                assert abs(ours - min(lower, upper)) <= 1e-10 * min(lower, upper), (x, df)
+                assert chisq_pdf(x, df) == pytest.approx(chi2.pdf(x, df), rel=1e-10)
+            for p in (1e-12, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6):
+                assert chisq_quantile(p, df) == pytest.approx(chi2.ppf(p, df), rel=1e-10)
+        for df in (10_000.5, 1e5, 1e17):
+            with pytest.raises(DomainError):
+                chisq_cdf(df, df)
 
 
 class TestDensityFamily:
