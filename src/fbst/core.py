@@ -222,13 +222,27 @@ def evalue_grid(s: SurpriseFunction) -> float:
 
 def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:
     """Fraction of draws whose interpolated surprise strictly exceeds s*."""
-    draws = sample.draws
+    draws, grid, values, s_star = sample.draws, s.grid, s.values, s.s_star
+    # np.interp lands within a few ulps of a segment's larger end (and 2^-1074 per
+    # unit of step where slopes underflow), so a segment whose ends both clear s*,
+    # or both miss it, by far more counts whole or not at all; np.interp decides
+    # the other segments' draws, and those off the grid or on its last node.
+    steps, ends = np.diff(grid), np.abs(values)
+    margin = 2.0 ** -40 * np.maximum(ends[:-1], ends[1:]) + 2.0 ** -1070 * (steps + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite end or slope
+        sure = np.isfinite(np.diff(values) / steps)  # leaves its segment to np.interp
+        above = sure & (np.minimum(values[:-1], values[1:]) - margin > s_star)
+        below = sure & (np.maximum(values[:-1], values[1:]) + margin < s_star)
+    undecided = np.concatenate(([True], ~(above | below), [True]))
     count = 0
     for start in range(0, draws.size, _MC_PIECE):
-        # sorted, so each segment search starts from the last: the count is the same
         piece = np.sort(draws[start:start + _MC_PIECE])
-        surprise = np.interp(piece, s.grid, s.values, left=0.0, right=0.0)
-        count += int(np.count_nonzero(surprise > s.s_star))
+        # draws below the grid, in each segment [g_j, g_j+1), then from the last node on
+        sizes = np.diff(np.searchsorted(piece, grid), prepend=0, append=piece.size)
+        count += int(sizes[1:-1][above].sum())
+        rest = piece[np.repeat(undecided, sizes)]
+        surprise = np.interp(rest, grid, values, left=0.0, right=0.0)
+        count += int(np.count_nonzero(surprise > s_star))
     return count / draws.size
 
 
@@ -244,7 +258,8 @@ def pvalue_evalue(relative_null_ratio: float, k: int, h: int) -> float:
 
 def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float]:
     """(sev_against, sev) with sev_against = F_{k-h}(F_k^{-1}(ev_against)),
-    which is ev_against itself, returned exactly, when h = 0."""
+    which is ev_against itself, returned exactly, when h = 0.  Where 1 - ev_against
+    < 1e-4, sev is the upper tail Q_{k-h} itself, so it keeps its relative accuracy."""
     _check_dims(k, h)
     if not 0.0 <= ev_against <= 1.0:
         raise DomainError(f"e-value must lie in [0, 1], got {ev_against}")
@@ -252,8 +267,9 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
         return 1.0, 0.0
     if h == 0:
         return ev_against, 1.0 - ev_against
-    sev_against = chisq_cdf(chisq_quantile(ev_against, k), k - h)
-    return sev_against, 1.0 - sev_against
+    x = chisq_quantile(ev_against, k)  # inverts Q_k(x) = 1 - ev_against in that regime
+    sev_against = chisq_cdf(x, k - h)
+    return sev_against, chisq_sf(x, k - h) if 1.0 - ev_against < 1e-4 else 1.0 - sev_against
 
 
 def _check_dims(k: int, h: int) -> None:

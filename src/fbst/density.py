@@ -121,18 +121,24 @@ class DensityEstimate(Frozen):
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
-    draws = sample.draws
+    return _silverman_sorted(sample.draws)[0]
+
+
+def _silverman_sorted(draws: np.ndarray) -> tuple[float, np.ndarray]:
+    """Silverman's bandwidth and the sorted copy of the draws its quartiles come
+    from; sd is taken first, so that copy is the one n-array beside the draws."""
     n = draws.size
     e = math.frexp(max(-float(draws.min()), float(draws.max())))[1]
     e = e if abs(e) > 256 else 0  # where squares leave the floats, scale by exact 2^-e
-    draws = np.ldexp(draws, -e) if e else draws
-    sd = float(draws.std(ddof=1))
+    sd = float((np.ldexp(draws, -e) if e else draws).std(ddof=1))
     if sd == 0:
         raise DrawsError("all draws are identical; bandwidth undefined")
-    q75, q25 = np.percentile(draws, [75, 25], method="inverted_cdf")
+    ordered = np.sort(draws)
+    # numpy's inverted_cdf quantile q is the ceil(n q)-th smallest draw
+    q75, q25 = np.ldexp(ordered[[math.ceil(0.75 * n) - 1, math.ceil(0.25 * n) - 1]], -e)
     iqr = float(q75 - q25)
     spread = sd if iqr == 0 else min(sd, iqr / 1.34)
-    return math.ldexp(0.9 * spread * n ** (-0.2), e)
+    return math.ldexp(0.9 * spread * n ** (-0.2), e), ordered
 
 
 def check_fit(bandwidth: float | None, grid_size: int) -> None:
@@ -158,7 +164,8 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if latest is not None and latest[0] == (bandwidth, grid_size):
         return latest[1]
     draws = sample.draws
-    h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
+    h, scaled_draws = (_silverman_sorted(draws) if bandwidth is None
+                       else (float(bandwidth), np.sort(draws)))
     lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h
     if not math.isfinite(hi - lo):
         raise DomainError(f"bandwidth {h:g} makes the grid span overflow")
@@ -166,10 +173,13 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if not (hi - lo) / (grid_size - 1) > 64.0 * np.spacing(magnitude):
         raise DomainError(f"the grid cannot resolve draws of magnitude {magnitude:g} spread "
                           f"over {np.ptp(draws):g}: subtract a constant from draws and null")
+    norm = draws.size * h * math.sqrt(2.0 * math.pi)
+    if not math.isfinite(norm):
+        raise DomainError(f"the kernel normalisation n * h * sqrt(2 pi) overflows at "
+                          f"bandwidth {h:g}: rescale the draws and the null")
     grid = np.linspace(lo, hi, int(grid_size))
     scaled_grid = grid / h
-    scaled_draws = draws / h
-    scaled_draws.sort()
+    scaled_draws /= h  # dividing by h > 0 keeps the order, so it stays sorted
     # Past _RADIUS scaled units every term exp(-0.5 * min(z^2, 80)) is capped
     # at exp(-40), so a node sums the sorted draws in its window and adds the
     # capped rest as one product: the same function as summing all n terms.
@@ -196,7 +206,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         thread.join()
     if errors:
         raise errors[0]
-    values = kernel_sums / (draws.size * h * math.sqrt(2.0 * math.pi))
+    values = kernel_sums / norm
     est = DensityEstimate(grid=grid, values=values, bandwidth=h)
     keep_fit(sample, est, bandwidth, grid_size)
     return est

@@ -580,6 +580,8 @@ class TestDrawsCache:
 
     def test_rewritten_file_of_the_same_size_and_time_is_a_miss(self, capsys, monkeypatch,
                                                                 tmp_path, no_floor, counts):
+        # one JSON timestamp for every run, whatever second each run falls in
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         rng = np.random.default_rng(5)
         path = tmp_path / "theta.txt"
         docs = []

@@ -447,6 +447,84 @@ def mc_full_sort(sample, s):
     return int(np.count_nonzero(surprise > s.s_star)) / sample.n
 
 
+def mc_by_piece(sample, s):
+    """The MC e-value as np.interp on each sorted piece of every draw: a frozen
+    copy of evalue_mc before it counted decided segments from the level set."""
+    draws, count = sample.draws, 0
+    for start in range(0, draws.size, core._MC_PIECE):
+        piece = np.sort(draws[start:start + core._MC_PIECE])
+        surprise = np.interp(piece, s.grid, s.values, left=0.0, right=0.0)
+        count += int(np.count_nonzero(surprise > s.s_star))
+    return count / draws.size
+
+
+MC_POSTERIORS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "gamma3": lambda rng, n: rng.gamma(3.0, 1.0, n),
+    "mixture": lambda rng, n: np.where(rng.random(n) < 0.5, rng.normal(-1.5, 0.35, n),
+                                       rng.normal(1.5, 0.35, n)),
+    "student_t3": lambda rng, n: rng.standard_t(3, n),
+    "integers": lambda rng, n: rng.integers(0, 5, n).astype(float),
+    "hundredths": lambda rng, n: np.round(rng.standard_normal(n), 2),
+}
+MC_REFERENCES = ("flat", "cauchy:location=0,scale=1", "normal:mean=0,sd=2")
+
+
+class TestLevelSetMcCount:
+    """evalue_mc counts the draws of segments wholly above or below s* without
+    interpolating them, with the count of interpolating every draw."""
+
+    @pytest.mark.parametrize("n", [1_000, 70_001, 200_000])
+    @pytest.mark.parametrize("posterior", list(MC_POSTERIORS))
+    def test_posteriors_references_and_nulls(self, posterior, n):
+        rng = np.random.default_rng(n)
+        sample = PosteriorSample(draws=MC_POSTERIORS[posterior](rng, n), label=posterior)
+        est = kde_fit(sample)
+        nulls = [*np.quantile(sample.draws, [0.01, 0.1, 0.3, 0.5, 0.8, 0.97]),
+                 est.grid[-1] + 1.0]  # off the grid: s* = 0
+        tested = 0
+        for descriptor in MC_REFERENCES:
+            reference = ReferenceFunction.parse(descriptor)
+            for null in nulls:
+                try:
+                    s = surprise_fit(est, reference, float(null))
+                except ReferenceFunctionError:  # a normal reference may vanish on the grid
+                    continue
+                assert evalue_mc(sample, s) == mc_by_piece(sample, s)
+                tested += 1
+        assert tested >= 14
+
+    @pytest.mark.parametrize("piece", [1000, 1 << 16])
+    def test_crafted_surprise_tables(self, monkeypatch, piece):
+        """Ends a few ulps from s*, a table flat at s*, finite values whose slopes
+        overflow, infinite values, and draws on, next to and between the nodes."""
+        monkeypatch.setattr(core, "_MC_PIECE", piece)
+        rng = np.random.default_rng(31)
+        grid = np.linspace(-3.1, 4.7, 1024)  # steps that round, unlike 0, 1, 2, ...
+        flat = np.full(grid.size, 1.0 / (grid[-1] - grid[0]))
+        posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0)
+        draws = np.concatenate((rng.uniform(grid[0], grid[-1], 150_000), grid, grid,
+                                np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                                0.5 * (grid[1:] + grid[:-1]), [-5.0, 6.0]))
+        sample = PosteriorSample(draws=draws, label="crafted")
+        for _ in range(12):
+            s_star = float(rng.random())
+            ulps = s_star + rng.integers(-2, 3, grid.size) * np.spacing(s_star)
+            steep = s_star + rng.random(grid.size) * 10.0 ** rng.uniform(-2, 3)
+            huge = rng.random(grid.size) * 1e308
+            infinite = huge.copy()
+            infinite[rng.integers(grid.size, size=4)] = np.inf
+            for values in (np.full(grid.size, s_star), ulps,
+                           np.where(np.arange(grid.size) % 2 == 0, steep, ulps),
+                           huge, infinite):
+                s = SurpriseFunction(posterior=posterior, values=values, s_star=s_star,
+                                     null_value=0.0, s0_posterior_density=float(flat[0]))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ev = evalue_mc(sample, s)
+                assert ev == mc_by_piece(sample, s)
+
+
 class TestSortedMcCount:
     """evalue_mc counts sorted draws by piece, bit-equal to the unsorted mean."""
 
@@ -587,6 +665,22 @@ class TestStandardizedEvalue:
         with pytest.raises(DomainError):
             standardized_evalue(1.2, 3, 2)
 
+    @pytest.mark.parametrize("ev,k,h", [(0.9999989665589362, 11, 5), (1.0 - 2.0 ** -40, 3, 2),
+                                        (1.0 - 1e-5, 12, 1), (0.99995, 2, 1),
+                                        (1.0 - 3e-12, 7, 6)])
+    def test_small_sev_keeps_its_relative_accuracy(self, ev, k, h):
+        """Near ev = 1, sev is Q_{k-h}(Q_k^{-1}(1 - ev)), to 1e-12 of 50-digit mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            def upper(df, x):
+                return mpmath.gammainc(mpmath.mpf(df) / 2, x / 2, mpmath.inf,
+                                       regularized=True)
+            favor = mpmath.mpf(1.0 - ev)  # exact: the e-value in favor that fbst reports
+            x = mpmath.findroot(lambda x: upper(k, x) - favor, chisq_quantile(ev, k))
+            truth = upper(k - h, x)
+        sev = standardized_evalue(ev, k, h)[1]
+        assert abs(sev - truth) <= 1e-12 * truth
+
 
 class TestFbst:
     def test_normal_posterior_closed_form(self):
@@ -710,6 +804,9 @@ class TestExtremeScale:
                                              r"\[2\^-500, 2\^500\]: rescale the draws"),
         "times-1e-300": (NORMAL * 1e-300, 0.0, r"density peak 3\.9\d*e\+299 lies outside "
                                                r"\[2\^-500, 2\^500\]: rescale the draws"),
+        "times-1e307": (NORMAL * 1e307, 0.0, r"kernel normalisation n \* h \* sqrt\(2 pi\) "
+                                             r"overflows at bandwidth 1\.4\d*e\+306: rescale "
+                                             r"the draws and the null"),
         "1e15-plus": (1e15 + NORMAL, 1e15, r"cannot resolve draws of magnitude 1e\+15 "
                                            r"spread over 7\.375: subtract a constant"),
         "1e8-plus-1e-8": (1e8 + 1e-8 * NORMAL, 1e8, r"cannot resolve draws of magnitude "

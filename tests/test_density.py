@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
 import sys
 import threading
@@ -203,7 +204,21 @@ class TestSilvermanBandwidth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * sample.draws.nbytes  # std's one temporary of n floats
+        assert peak < 1.5 * sample.draws.nbytes  # std's temporary, then the sorted copy
+
+    @pytest.mark.parametrize("exponent", [0, -257, 257])
+    @pytest.mark.parametrize("n", [30, 31, 32, 33, 34, 35, 36, 101, 1_000, 1_001, 1_002,
+                                   1_003, 65_536, 65_537, 99_999, 100_000])
+    def test_quartiles_are_numpys_inverted_cdf(self, n, exponent):
+        """The quartiles taken from the sorted draws give, bit for bit, the
+        bandwidth of np.percentile's inverted_cdf quartiles."""
+        draws = np.ldexp(np.random.default_rng(n).standard_t(2, n), exponent)
+        scaled = np.ldexp(draws, -exponent)
+        q75, q25 = np.percentile(scaled, [75, 25], method="inverted_cdf")
+        iqr, sd = float(q75 - q25), float(scaled.std(ddof=1))
+        assert 0 < iqr / 1.34 < sd  # heavy tails: the quartiles set the bandwidth
+        expected = math.ldexp(0.9 * (iqr / 1.34) * n ** (-0.2), exponent)
+        assert silverman_bandwidth(sample_of(draws)) == expected
 
 
 class TestKdeFit:
@@ -268,6 +283,21 @@ class TestKdeFit:
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):
             kde_fit(sample_of(np.arange(50.0)), grid_size=64)
+
+    @pytest.mark.parametrize("bandwidth", [None, 0.05])
+    def test_one_array_of_draws_beside_the_sample(self, bandwidth):
+        """The fit's peak is its sorted, scaled draws and one block buffer per
+        worker: sd is taken before the sort, and the sort is divided in place."""
+        sample = sample_of(np.random.default_rng(14).standard_normal(1_000_000))
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+        tracemalloc.start()
+        try:
+            kde_fit(sample, bandwidth=bandwidth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * sample.draws.nbytes + workers * 8 * density._BLOCK_TERMS
 
     @pytest.mark.parametrize("grid_size", [density.MAX_GRID_SIZE + 1, 10 ** 11])
     def test_grid_size_cap_allocates_nothing(self, grid_size):
