@@ -10,8 +10,9 @@ import argparse
 import sys
 from dataclasses import replace
 
+from . import core
 from .core import check_run, fbst_pipeline
-from .density import DEFAULT_GRID_SIZE
+from .density import DEFAULT_GRID_SIZE, check_fit
 from .errors import DomainError, DrawsError, FbstError
 from .io import (FORMATS, DrawsCache, DrawsFileSpec, ResultDocument, format_result,
                  load_draws, load_reference, timestamp_now, write_text)
@@ -78,18 +79,17 @@ def _run_pipeline(args, parser: _Parser):
     except DomainError as err:
         parser.error(str(err))
     estimator = "monte_carlo" if args.estimator == "mc" else "grid"
-    check_run(args.null, args.dim_theta, args.dim_null, estimator, args.bandwidth,
-              args.grid_size)
+    check_run(args.null, args.dim_theta, args.dim_null, estimator)
+    check_fit(args.bandwidth, args.grid_size)
     spec = DrawsFileSpec(args.draws, args.file_format, args.column, args.delimiter)
     cache = DrawsCache(spec, args.bandwidth, args.grid_size)
     cached = cache.load()  # None on a miss and for a file below the floor
-    sample = cached or load_draws(spec)
-    result, surprise = fbst_pipeline(
-        sample, args.null, args.dim_theta, args.dim_null,
-        reference=reference, estimator=estimator,
-        bandwidth=args.bandwidth, grid_size=args.grid_size)
+    sample = cached[0] if cached else load_draws(spec)
+    fit = cached[1] if cached else core.kde_fit(sample, args.bandwidth, args.grid_size)
+    result, surprise = fbst_pipeline(fit, args.null, args.dim_theta, args.dim_null,
+                                     reference=reference, estimator=estimator)
     if cached is None:
-        cache.store(sample, surprise.posterior)
+        cache.store(sample, fit)
     return sample, result, surprise
 
 

@@ -2,10 +2,10 @@
 
 Pipeline for one test: kde_fit -> surprise_fit -> evalue_grid or evalue_mc
 -> pvalue_evalue -> standardized_evalue.  The tangential set is derived from
-the surprise function, not a stage.  The `fbst` function orchestrates the
-whole chain.  Draws enter only as a PosteriorSample, which keeps its latest
-fit, and the fit keeps the surprise tables of its latest references, so
-tests of many nulls and references on one sample fit and tabulate once.
+the surprise function, not a stage.  `fbst_pipeline` tests a fitted density;
+`fbst` fits a PosteriorSample first.  The sample keeps its latest fit, and
+the fit the surprise tables of its latest references, so tests of many
+nulls and references on one sample fit and tabulate once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
-                      check_fit, kde_eval, kde_fit, tabulated_curve)
+                      kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import (MAX_DF, DensityFamily, chisq_cdf, chisq_quantile, chisq_sf,
                            density_eval)
@@ -220,9 +220,11 @@ def evalue_grid(s: SurpriseFunction) -> float:
     return min(1.0, max(0.0, mass / s.posterior.total_mass))
 
 
-def evalue_mc(sample: PosteriorSample, s: SurpriseFunction) -> float:
-    """Fraction of draws whose interpolated surprise strictly exceeds s*."""
-    draws, grid, values, s_star = sample.draws, s.grid, s.values, s.s_star
+def evalue_mc(s: SurpriseFunction) -> float:
+    """Fraction of the fit's draws whose interpolated surprise strictly exceeds s*."""
+    draws, grid, values, s_star = s.posterior.draws, s.grid, s.values, s.s_star
+    if draws is None:
+        raise DomainError("the Monte Carlo e-value needs the draws the density was fitted to")
     # np.interp lands within a few ulps of a segment's larger end (and 2^-1074 per
     # unit of step where slopes underflow), so a segment whose ends both clear s*,
     # or both miss it, by far more counts whole or not at all; np.interp decides
@@ -291,27 +293,22 @@ def check_null(null_value: float) -> None:
         raise DomainError(f"null value must be finite, got {null_value}")
 
 
-def check_run(null_value: float, dim_theta: int, dim_null: int, estimator: str,
-              bandwidth: float | None, grid_size: int) -> None:
-    """Every check of a test's arguments that needs no draws: run it before reading them."""
+def check_run(null_value: float, dim_theta: int, dim_null: int, estimator: str) -> None:
+    """Every check of a test's arguments but the fit's: run it before reading the draws."""
     _check_dims(dim_theta, dim_null)
     check_null(null_value)
     if estimator not in ESTIMATORS:
         raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    check_fit(bandwidth, grid_size)
 
 
-def fbst_pipeline(sample: PosteriorSample, null_value: float, dim_theta: int,
+def fbst_pipeline(posterior: DensityEstimate, null_value: float, dim_theta: int,
                   dim_null: int, reference: ReferenceFunction | None = None,
-                  estimator: str = "grid", bandwidth: float | None = None,
-                  grid_size: int = DEFAULT_GRID_SIZE):
-    """Run the full test; also return its surprise function (and posterior)."""
-    check_run(null_value, dim_theta, dim_null, estimator, bandwidth, grid_size)
+                  estimator: str = "grid"):
+    """Run the full test on a fitted density; also return its surprise function."""
+    check_run(null_value, dim_theta, dim_null, estimator)
     ref = reference if reference is not None else ReferenceFunction.flat()
-    posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
     surprise = surprise_fit(posterior, ref, null_value)
-    ev_against = (evalue_grid(surprise) if estimator == "grid"
-                  else evalue_mc(sample, surprise))
+    ev_against = evalue_grid(surprise) if estimator == "grid" else evalue_mc(surprise)
     ratio = surprise.relative_null_ratio
     p_value = 0.0 if ratio == 0.0 else pvalue_evalue(ratio, dim_theta, dim_null)
     sev_against, sev = standardized_evalue(ev_against, dim_theta, dim_null)
@@ -338,5 +335,7 @@ def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
          estimator: str = "grid", bandwidth: float | None = None,
          grid_size: int = DEFAULT_GRID_SIZE) -> FbstResult:
     """Full Bayesian Significance Test of H0: theta = null_value."""
-    return fbst_pipeline(sample, null_value, dim_theta, dim_null, reference=reference,
-                         estimator=estimator, bandwidth=bandwidth, grid_size=grid_size)[0]
+    check_run(null_value, dim_theta, dim_null, estimator)  # before the fit
+    posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
+    return fbst_pipeline(posterior, null_value, dim_theta, dim_null, reference=reference,
+                         estimator=estimator)[0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -87,11 +87,14 @@ class PosteriorSample(Frozen):
 
 @dataclass(frozen=True, eq=False)
 class DensityEstimate(Frozen):
-    """A density on a strictly increasing grid, with its mode and segment masses."""
+    """A density on a strictly increasing grid, with its mode and segment masses, and
+    the draws of the sample it was fitted to, if any: their array, not the sample."""
 
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
+    sample: InitVar[PosteriorSample | None] = None
+    draws: np.ndarray | None = field(init=False, repr=False)
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)
     segment_mass: np.ndarray = field(init=False, repr=False)
@@ -100,7 +103,7 @@ class DensityEstimate(Frozen):
     # one tuple, replaced whole, as in PosteriorSample._latest_fit.
     _surprise_tables: tuple = field(default=(), init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, sample: PosteriorSample | None) -> None:
         grid, values = tabulated_curve(self.grid, self.values, "density")
         if np.any(values < 0):
             raise DomainError("density values must be nonnegative")
@@ -116,7 +119,8 @@ class DensityEstimate(Frozen):
             raise DomainError(f"density peak {values[peak]:g} lies outside "
                               "[2^-500, 2^500]: rescale the draws and the null")
         self._freeze(grid=grid, values=values, segment_mass=mass, total_mass=total,
-                     mode_location=float(grid[peak]), mode_density=float(values[peak]))
+                     mode_location=float(grid[peak]), mode_density=float(values[peak]),
+                     draws=None if sample is None else sample.draws)
 
 
 def silverman_bandwidth(sample: PosteriorSample) -> float:
@@ -170,6 +174,8 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if not math.isfinite(hi - lo):
         raise DomainError(f"bandwidth {h:g} makes the grid span overflow")
     magnitude = max(-lo, hi)  # nodes closer than 64 ulps of it would round unevenly
+    if not math.isfinite(magnitude / h):  # else the grid and draws overflow scaled by h
+        raise DomainError(f"bandwidth {h:g} is too small for draws of magnitude {magnitude:g}")
     if not (hi - lo) / (grid_size - 1) > 64.0 * np.spacing(magnitude):
         raise DomainError(f"the grid cannot resolve draws of magnitude {magnitude:g} spread "
                           f"over {np.ptp(draws):g}: subtract a constant from draws and null")
@@ -207,19 +213,9 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     if errors:
         raise errors[0]
     values = kernel_sums / norm
-    est = DensityEstimate(grid=grid, values=values, bandwidth=h)
-    keep_fit(sample, est, bandwidth, grid_size)
-    return est
-
-
-def keep_fit(sample: PosteriorSample, est: DensityEstimate, bandwidth: float | None,
-             grid_size: int) -> None:
-    """Keep `est` as the fit `kde_fit(sample, bandwidth, grid_size)` returns; with
-    bandwidth None the caller vouches that `est` used Silverman's."""
-    check_fit(bandwidth, grid_size)
-    if est.grid.size != grid_size or bandwidth is not None and est.bandwidth != bandwidth:
-        raise DomainError("the fit has another grid size or bandwidth")
+    est = DensityEstimate(grid=grid, values=values, bandwidth=h, sample=sample)
     sample._freeze(_latest_fit=((bandwidth, grid_size), est))
+    return est
 
 
 def _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import FbstResult, ReferenceFunction
-from .density import DensityEstimate, PosteriorSample, keep_fit
+from .density import DensityEstimate, PosteriorSample
 from .errors import DomainError, DrawsError, FbstError
 
 FORMATS = ("csv", "json", "plain")
@@ -202,8 +202,8 @@ class DrawsCache:
         self.spec, self.bandwidth, self.grid_size = spec, bandwidth, grid_size
         self.path = self.identity = self.digest = None  # set as load reaches them
 
-    def load(self) -> PosteriorSample | None:
-        """The stored sample, its stored fit kept as its latest; None on a miss."""
+    def load(self) -> tuple[PosteriorSample, DensityEstimate] | None:
+        """The stored sample and its stored fit; None on a miss."""
         spec = self.spec
         try:
             stat = os.stat(spec.path)
@@ -233,9 +233,9 @@ class DrawsCache:
                 return None
             sample = PosteriorSample(draws=draws, label="".join(map(chr, label)))
             grid, values = fit[1:].reshape(2, -1)
-            keep_fit(sample, DensityEstimate(grid, values, float(fit[0])), self.bandwidth,
-                     self.grid_size)
-            return sample
+            fit = DensityEstimate(grid, values, float(fit[0]), sample=sample)
+            kept = fit.grid.size == self.grid_size and self.bandwidth in (None, fit.bandwidth)
+            return (sample, fit) if kept else None  # bandwidth None: the key says Silverman's
         except _CACHE_FAULTS:
             return None
 

@@ -66,12 +66,12 @@ def battery():
         for ref_name, ref in references:
             for null in nulls:
                 result, surprise = fbst_pipeline(
-                    sample, null, 3, 2, reference=ref)
+                    kde_fit(sample), null, 3, 2, reference=ref)
                 records.append({
                     "case": f"{shape}/{ref_name}/null={null:g}",
                     "shape": shape, "ref": ref_name, "null": null,
                     "ev_grid": result.e_value_against,
-                    "ev_mc": evalue_mc(sample, surprise),
+                    "ev_mc": evalue_mc(surprise),
                     "p_value": result.p_value,
                 })
     return {"records": records, "seconds": time.perf_counter() - start}
@@ -116,7 +116,7 @@ def test_02_analytic_oracle_both_estimators():
         expected = analytic_evalue_flat(mu, 1.0, 0.0)
         worst = max(worst,
                     abs(evalue_grid(surprise) - expected),
-                    abs(evalue_mc(sample, surprise) - expected))
+                    abs(evalue_mc(surprise) - expected))
     elapsed = time.perf_counter() - start
     _report("AC2 analytic oracle, both estimators",
             worst < 0.01 and elapsed < 30.0,
@@ -208,7 +208,7 @@ def test_07_brute_force_equivalence():
 def test_08_svg_contract():
     rng = np.random.default_rng(301)
     sample = PosteriorSample(draws=rng.standard_normal(100_000), label="theta")
-    result, surprise = fbst_pipeline(sample, 1.0, 1, 0)
+    result, surprise = fbst_pipeline(kde_fit(sample), 1.0, 1, 0)
 
     root = ET.fromstring(render_fbst_plot(surprise, PlotSpec()))
     areas = {"fill-tangential": 0.0, "fill-complement": 0.0}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbst import cli, density
+from fbst import cli, core, density
 from fbst import io as fbst_io
 from fbst.cli import main
 
@@ -267,6 +267,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("fbst: density integrates to ") and len(err) < 100, err
 
+    def test_bandwidth_far_below_the_draws_is_3(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        draws = np.random.default_rng(0).standard_normal(10_000) * 1e307
+        path.write_text("\n".join(map(repr, draws.tolist())), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--draws", str(path), *BASE[2:], "--bandwidth", "0.05"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fbst: bandwidth 0.05 is too small for draws of magnitude 3.8")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_vanishing_reference_is_3(self, capsys):
         assert main(["test", *BASE, "--ref", "normal:mean=0,sd=0.04"]) == 3
         assert "vanishes" in capsys.readouterr().err
@@ -491,13 +502,28 @@ def _entries(cache_dir):
     return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
 
 
-def _with_nan_bandwidth(entry):
-    """The entry's bytes with the fit's stored bandwidth, its first number, set to NaN."""
+def _with_fit(entry, refit):
+    """The entry's bytes with its stored fit, bandwidth first, replaced by
+    refit(draws, fit): the same digest, draws and label."""
     handle, out = io.BytesIO(entry), io.BytesIO()
     digest, draws, label, fit = [np.load(handle, allow_pickle=False) for _ in range(4)]
-    for array in (digest, draws, label, np.hstack((np.nan, fit[1:]))):
+    for array in (digest, draws, label, refit(draws, fit)):
         np.save(out, array, allow_pickle=False)
     return out.getvalue()
+
+
+def _nan_bandwidth(draws, fit):
+    return np.hstack((np.nan, fit[1:]))
+
+
+def _other_bandwidth(draws, fit):
+    return np.hstack((2.0 * fit[0], fit[1:]))
+
+
+def _other_grid_size(draws, fit):
+    """The stored fit on every other node: a valid fit of another grid size."""
+    grid, values = fit[1:].reshape(2, -1)
+    return np.hstack((fit[0], grid[::2], values[::2]))
 
 
 class TestDrawsCache:
@@ -624,20 +650,41 @@ class TestDrawsCache:
         capsys.readouterr()
 
     @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage",
-                                        "nan_bandwidth"])
+                                        "nan_bandwidth", "grid_size", "bandwidth"])
     def test_damaged_entry_is_recomputed_and_rewritten(self, capsys, no_floor, counts,
                                                        draws_cache_dir, damage):
-        runs = [(main(["test", *BASE]), capsys.readouterr()) for _ in range(2)]
+        # a stored fit of another grid size or bandwidth than the key's is a miss
+        argv = ["test", *BASE, *(("--bandwidth", "0.3") if damage == "bandwidth" else ())]
+        runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
         [entry] = _entries(draws_cache_dir)
         good = entry.read_bytes()
         entry.write_bytes({"truncated_fit": good[:-8], "half": good[:len(good) // 2],
                            "empty": b"", "garbage": b"\x93NUMPY garbage" * 9,
-                           "nan_bandwidth": _with_nan_bandwidth(good)}[damage])
-        runs.append((main(["test", *BASE]), capsys.readouterr()))
+                           "nan_bandwidth": _with_fit(good, _nan_bandwidth),
+                           "grid_size": _with_fit(good, _other_grid_size),
+                           "bandwidth": _with_fit(good, _other_bandwidth)}[damage])
+        runs.append((main(argv), capsys.readouterr()))
         assert runs[0] == runs[1] == runs[2]
         assert runs[2][1].err == ""
         assert counts == {"loads": 3, "fits": 3}
         assert entry.read_bytes() == good
+
+    def test_fits_through_core_kde_fit_on_each_miss_only(self, capsys, monkeypatch,
+                                                         no_floor):
+        # perfbench's traced runs time the CLI's fits at this name
+        calls, fit = [], core.kde_fit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(core, "kde_fit", counted)
+        fits = []
+        for _ in range(3):  # marks, fills, then hits
+            assert main(["test", *BASE]) == 0
+            fits.append(len(calls))
+        capsys.readouterr()
+        assert fits == [1, 2, 2]
 
     def test_unwritable_cache_changes_nothing(self, capsys, monkeypatch, tmp_path, no_floor,
                                               counts):

@@ -1,10 +1,12 @@
 import copy
+import gc
 import math
 import pickle
 import random
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from fbst import core
 from fbst import (DensityEstimate, DensityFamily, DimensionError, DomainError,
                   FbstError, FbstResult, PosteriorSample, ReferenceFunction,
                   ReferenceFunctionError, SurpriseFunction, chisq_cdf,
-                  chisq_quantile, evalue_grid, evalue_mc, fbst, kde_eval,
-                  kde_fit, pvalue_evalue, standardized_evalue, surprise_fit)
+                  chisq_quantile, evalue_grid, evalue_mc, fbst, fbst_pipeline,
+                  kde_eval, kde_fit, pvalue_evalue, standardized_evalue, surprise_fit)
 from ground_truth import PRIOR_SCALE, SEV_FIXTURES
 
 
@@ -420,19 +422,58 @@ class TestEvalueEstimators:
         s = surprise_fit(est, ReferenceFunction.flat(), 0.0)
         expected = math.erf(1.0 / math.sqrt(2.0))
         assert evalue_grid(s) == pytest.approx(expected, abs=0.01)
-        assert evalue_mc(sample, s) == pytest.approx(expected, abs=0.01)
+        assert evalue_mc(s) == pytest.approx(expected, abs=0.01)
 
     def test_mc_zero_when_nothing_exceeds(self):
         sample = normal_sample(n=5_000)
         est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), est.mode_location)
-        assert evalue_mc(sample, s) == 0.0
+        assert evalue_mc(s) == 0.0
 
     def test_mc_one_when_null_surprise_is_zero(self):
         sample = normal_sample(n=5_000)
         est = kde_fit(sample)
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
-        assert evalue_mc(sample, s) == 1.0
+        assert evalue_mc(s) == 1.0
+
+
+class TestTestsRunOnTheFit:
+    """A test runs on the fitted density it is handed: the fit holds the sample's
+    own draws, not the sample, and a tabulated density has no draws to count."""
+
+    def test_fit_keeps_no_reference_to_its_sample(self):
+        # a fit that held its sample would form a cycle with the sample's kept fit,
+        # which only the garbage collector frees: 2*10^5-draw samples then pile up
+        gc.disable()
+        try:
+            sample = normal_sample(n=20_000)
+            for estimator in core.ESTIMATORS:
+                fbst(sample, 0.3, 1, 0, estimator=estimator)
+            refs = weakref.ref(sample), weakref.ref(kde_fit(sample))
+            del sample
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_tabulated_density_runs_the_grid_test_and_refuses_monte_carlo(self):
+        grid = np.linspace(-8.0, 8.0, 2001)
+        table = DensityEstimate(grid, np.exp(-0.5 * grid * grid) / math.sqrt(2.0 * math.pi),
+                                bandwidth=0.1)
+        assert table.draws is None
+        result, surprise = fbst_pipeline(table, 1.0, 1, 0)
+        assert result.e_value_against == pytest.approx(math.erf(1.0 / math.sqrt(2.0)),
+                                                       abs=0.005)
+        message = "^the Monte Carlo e-value needs the draws the density was fitted to$"
+        with pytest.raises(DomainError, match=message):
+            fbst_pipeline(table, 1.0, 1, 0, estimator="monte_carlo")
+        with pytest.raises(DomainError, match=message):
+            evalue_mc(surprise)
+
+
+def with_draws(est, sample):
+    """est's density fitted, as it were, to another sample's draws."""
+    return DensityEstimate(grid=est.grid, values=est.values, bandwidth=est.bandwidth,
+                           sample=sample)
 
 
 def mc_unsorted(sample, s):
@@ -490,7 +531,7 @@ class TestLevelSetMcCount:
                     s = surprise_fit(est, reference, float(null))
                 except ReferenceFunctionError:  # a normal reference may vanish on the grid
                     continue
-                assert evalue_mc(sample, s) == mc_by_piece(sample, s)
+                assert evalue_mc(s) == mc_by_piece(sample, s)
                 tested += 1
         assert tested >= 14
 
@@ -502,11 +543,11 @@ class TestLevelSetMcCount:
         rng = np.random.default_rng(31)
         grid = np.linspace(-3.1, 4.7, 1024)  # steps that round, unlike 0, 1, 2, ...
         flat = np.full(grid.size, 1.0 / (grid[-1] - grid[0]))
-        posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0)
         draws = np.concatenate((rng.uniform(grid[0], grid[-1], 150_000), grid, grid,
                                 np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
                                 0.5 * (grid[1:] + grid[:-1]), [-5.0, 6.0]))
         sample = PosteriorSample(draws=draws, label="crafted")
+        posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0, sample=sample)
         for _ in range(12):
             s_star = float(rng.random())
             ulps = s_star + rng.integers(-2, 3, grid.size) * np.spacing(s_star)
@@ -521,7 +562,7 @@ class TestLevelSetMcCount:
                                      null_value=0.0, s0_posterior_density=float(flat[0]))
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    ev = evalue_mc(sample, s)
+                    ev = evalue_mc(s)
                 assert ev == mc_by_piece(sample, s)
 
 
@@ -538,17 +579,17 @@ class TestSortedMcCount:
         _, est = fitted
         if null == "node 600":  # s* is then the surprise of the draws at that node
             null = float(est.grid[600])
-        s = surprise_fit(est, ReferenceFunction.flat(), null)
         on_nodes = PosteriorSample(draws=np.tile(est.grid, 3), label="nodes")
-        assert evalue_mc(on_nodes, s) == mc_unsorted(on_nodes, s)
+        s = surprise_fit(with_draws(est, on_nodes), ReferenceFunction.flat(), null)
+        assert evalue_mc(s) == mc_unsorted(on_nodes, s)
 
     def test_draws_outside_the_grid(self, fitted):
         sample, est = fitted
-        s = surprise_fit(est, ReferenceFunction.flat(), 1.2)
         wide = PosteriorSample(draws=np.concatenate(
             (sample.draws, est.grid[0] - np.arange(1.0, 500.0),
              est.grid[-1] + np.arange(1.0, 500.0))), label="wide")
-        assert evalue_mc(wide, s) == mc_unsorted(wide, s)
+        s = surprise_fit(with_draws(est, wide), ReferenceFunction.flat(), 1.2)
+        assert evalue_mc(s) == mc_unsorted(wide, s)
 
     @pytest.mark.parametrize("quantile", [0.05, 0.3, 0.6, 0.9])
     def test_metropolis_chain_with_repeats(self, example_chain, quantile):
@@ -557,13 +598,13 @@ class TestSortedMcCount:
         null = float(np.quantile(example_chain.draws, quantile))
         s = surprise_fit(est, ReferenceFunction.from_family(
             DensityFamily.cauchy(0.0, PRIOR_SCALE)), null)
-        assert evalue_mc(example_chain, s) == mc_unsorted(example_chain, s)
+        assert evalue_mc(s) == mc_unsorted(example_chain, s)
 
     def test_zero_null_surprise(self, fitted):
         sample, est = fitted
         s = surprise_fit(est, ReferenceFunction.flat(), 1e6)
         assert s.s_star == 0.0
-        assert evalue_mc(sample, s) == mc_unsorted(sample, s) == 1.0
+        assert evalue_mc(s) == mc_unsorted(sample, s) == 1.0
 
     @pytest.mark.parametrize("n", [1_000, 1 << 16, (1 << 16) + 77, 3 * (1 << 16) - 5])
     def test_sizes_around_the_piece(self, n):
@@ -571,7 +612,7 @@ class TestSortedMcCount:
         est = kde_fit(sample)
         for null in (-0.4, 0.1, 1.3):
             s = surprise_fit(est, ReferenceFunction.flat(), null)
-            ev = evalue_mc(sample, s)
+            ev = evalue_mc(s)
             assert type(ev) is float
             assert ev == mc_unsorted(sample, s)
 
@@ -585,7 +626,7 @@ class TestSortedMcCount:
         est = kde_fit(sample)
         for null in (-1.1, 0.4, 2.0):
             s = surprise_fit(est, ReferenceFunction.flat(), null)
-            assert evalue_mc(sample, s) == mc_full_sort(sample, s)
+            assert evalue_mc(s) == mc_full_sort(sample, s)
 
 
 class TestPvalueEvalue:
@@ -822,6 +863,16 @@ class TestExtremeScale:
             with pytest.raises(FbstError, match=message):
                 fbst(PosteriorSample(draws=draws, label="theta"), null, 3, 2,
                      estimator=estimator)
+
+    @pytest.mark.parametrize("estimator", core.ESTIMATORS)
+    def test_bandwidth_far_below_the_draws(self, estimator):
+        # the draws divided by the bandwidth would overflow, with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^bandwidth 0\.05 is too small for draws "
+                                                  r"of magnitude 3\.8994\d*e\+307$"):
+                fbst(PosteriorSample(draws=self.NORMAL * 1e307, label="theta"), 0.0, 3, 2,
+                     estimator=estimator, bandwidth=0.05)
 
     @pytest.mark.parametrize("offset", [1e6, 1e9])
     def test_a_resolvable_offset_still_answers(self, offset):

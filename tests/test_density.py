@@ -380,14 +380,11 @@ class TestFitMemo:
         assert est.bandwidth == fresh.bandwidth
 
     def test_kept_fit_is_the_one_kde_fit_returns(self, sample):
-        est = kde_fit(sample_of(sample.draws), bandwidth=0.2, grid_size=256)
-        for bandwidth, grid_size in ((0.3, 256), (0.2, 1024), (None, 1024)):
-            with pytest.raises(DomainError, match="another grid size or bandwidth"):
-                density.keep_fit(sample, est, bandwidth, grid_size)
-        with pytest.raises(DomainError, match="grid_size must be"):
-            density.keep_fit(sample, est, 0.2, 1)
         assert sample._latest_fit is None
-        density.keep_fit(sample, est, 0.2, 256)
+        est = kde_fit(sample, bandwidth=0.2, grid_size=256)
+        assert sample._latest_fit == ((0.2, 256), est)
+        assert est.draws is sample.draws  # the sample's own array, and not the sample
+        assert not est.draws.flags.writeable
         assert kde_fit(sample, bandwidth=0.2, grid_size=256) is est
         assert kde_fit(sample, bandwidth=0.2) is not est
 

@@ -10,7 +10,7 @@ import pytest
 
 from fbst import (DimensionError, DomainError, DrawsError, DrawsFileSpec,
                   PosteriorSample, ReferenceFunction, ResultDocument, __version__,
-                  fbst_pipeline, format_result, load_draws)
+                  fbst_pipeline, format_result, kde_fit, load_draws)
 import fbst.io
 from fbst.io import load_reference, write_text
 
@@ -558,7 +558,7 @@ class TestResultDocument:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         rng = np.random.default_rng(11)
         sample = PosteriorSample(draws=rng.standard_normal(2000), label="mu")
-        result, surprise = fbst_pipeline(sample, 0.5, 1, 0)
+        result, surprise = fbst_pipeline(kde_fit(sample), 0.5, 1, 0)
         posterior = surprise.posterior
         doc = ResultDocument.from_result(result, sample_size=sample.n,
                                          bandwidth=posterior.bandwidth,
@@ -577,7 +577,7 @@ class TestResultDocument:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         rng = np.random.default_rng(11)
         sample = PosteriorSample(draws=rng.standard_normal(2000), label="mu")
-        result, surprise = fbst_pipeline(sample, 0.5, 1, 0)
+        result, surprise = fbst_pipeline(kde_fit(sample), 0.5, 1, 0)
         posterior = surprise.posterior
         doc = ResultDocument.from_result(result, sample_size=sample.n,
                                          bandwidth=posterior.bandwidth,

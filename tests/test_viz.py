@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fbst import (DensityEstimate, DrawsFileSpec, PlotError, PlotSpec, PosteriorSample,
-                  ReferenceFunction, fbst_pipeline, load_draws, render_fbst_plot,
-                  surprise_fit)
+                  ReferenceFunction, fbst_pipeline, kde_fit, load_draws,
+                  render_fbst_plot, surprise_fit)
 
 SVG = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 def fitted():
     rng = np.random.default_rng(33)
     sample = PosteriorSample(draws=rng.standard_normal(5000), label="theta")
-    return fbst_pipeline(sample, 1.0, 1, 0)
+    return fbst_pipeline(kde_fit(sample), 1.0, 1, 0)
 
 
 def _render(fitted, **options):
@@ -251,7 +251,7 @@ def _window_end(grid, index):
 @pytest.fixture(scope="module")
 def golden_fit():
     sample = load_draws(DrawsFileSpec(path=str(DATA / "draws.csv"), format="csv"))
-    return sample.label, fbst_pipeline(sample, 0.0, 3, 2)[1]
+    return sample.label, fbst_pipeline(kde_fit(sample), 0.0, 3, 2)[1]
 
 
 class TestCroppedWindowBytes:
