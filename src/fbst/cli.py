@@ -112,7 +112,7 @@ def run_test(args, parser: _Parser) -> int:
 
 def run_plot(args, parser: _Parser) -> int:
     if args.left_boundary is not None and args.right_boundary is not None \
-            and not args.left_boundary < args.right_boundary:
+            and args.left_boundary >= args.right_boundary:  # a NaN is PlotSpec's to name
         parser.error(f"invalid range: left boundary {args.left_boundary:g} "
                      f"must lie below right boundary {args.right_boundary:g}")
     spec = PlotSpec(width_px=args.width, height_px=args.height,

@@ -3,9 +3,9 @@
 Pipeline for one test: kde_fit -> surprise_fit -> evalue_grid or evalue_mc
 -> pvalue_evalue -> standardized_evalue.  The tangential set is derived from
 the surprise function, not a stage.  `fbst_pipeline` tests a fitted density;
-`fbst` fits a PosteriorSample first.  The sample keeps its latest fit, and
-the fit the surprise tables of its latest references, so tests of many
-nulls and references on one sample fit and tabulate once.
+`fbst` fits a PosteriorSample first and keeps the sample's latest fit;
+`surprise_fit` keeps a fit's tables of its latest references, so tests of
+many nulls and references on one sample fit and tabulate once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
-                      kde_eval, kde_fit, tabulated_curve)
+                      check_fit, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
 from .special_math import (MAX_DF, DensityFamily, chisq_cdf, chisq_quantile, chisq_sf,
                            density_eval)
@@ -190,7 +190,8 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
     No null enters the table, so the fit keeps it for its latest references,
     matched by descriptor (it fixes r exactly), a table by identity."""
     check_null(null_value)
-    kept, key = posterior._surprise_tables, ref.descriptor if ref.grid is None else ref
+    kept = vars(posterior).get("_surprise_tables", ())  # ((key, p / r), ...), newest first
+    key = ref.descriptor if ref.grid is None else ref
     values = next((table for held, table in kept if held == key), None)
     if values is None:
         ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
@@ -336,6 +337,12 @@ def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
          grid_size: int = DEFAULT_GRID_SIZE) -> FbstResult:
     """Full Bayesian Significance Test of H0: theta = null_value."""
     check_run(null_value, dim_theta, dim_null, estimator)  # before the fit
-    posterior = kde_fit(sample, bandwidth=bandwidth, grid_size=grid_size)
-    return fbst_pipeline(posterior, null_value, dim_theta, dim_null, reference=reference,
+    check_fit(bandwidth, grid_size)  # before a kept fit is matched
+    # ((bandwidth, grid_size), fit): one tuple, replaced whole, so a reader never
+    # pairs a key with another fit; the read-only draws keep it from going stale
+    latest = vars(sample).get("_latest_fit")
+    if latest is None or latest[0] != (bandwidth, grid_size):
+        latest = ((bandwidth, grid_size), kde_fit(sample, bandwidth, grid_size))
+        sample._freeze(_latest_fit=latest)
+    return fbst_pipeline(latest[1], null_value, dim_theta, dim_null, reference=reference,
                          estimator=estimator)[0]

@@ -25,7 +25,8 @@ _SHARED_TERMS = 4_000_000  # terms past which cores share the blocks: ~10 ms on 
 
 
 class Frozen:
-    """Base of the records: arrays in their fields, tuples included, stay read-only."""
+    """Base of the records: arrays in their fields, tuples included, stay read-only.
+    Core keeps a test's reusable results on a record under a private name, by `_freeze`."""
 
     def _freeze(self, **fields) -> None:  # set each field whole, its arrays read-only
         stack = list(fields.values())
@@ -56,17 +57,13 @@ def tabulated_curve(grid, values, what: str) -> tuple[np.ndarray, np.ndarray]:
 class PosteriorSample(Frozen):
     """A labeled vector of scalar posterior draws for one parameter.
 
-    The sample keeps a read-only copy of its draws and its latest density
-    fit, so repeated tests on it with the same bandwidth and grid size fit
-    once (see `kde_fit`).  Samples compare and hash by identity.
+    The sample keeps a read-only copy of its draws; `core.fbst` keeps its
+    latest density fit on it, so repeated tests with the same bandwidth and
+    grid size fit once.  Samples compare and hash by identity.
     """
 
     draws: np.ndarray
     label: str
-    # ((bandwidth, grid_size), DensityEstimate) of the latest fit, or None.
-    # One tuple, replaced whole, so a reader never pairs a key with another
-    # fit; the read-only copy of the draws keeps it from going stale.
-    _latest_fit: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.draws, dtype=float).ravel()
@@ -99,9 +96,6 @@ class DensityEstimate(Frozen):
     mode_density: float = field(init=False)
     segment_mass: np.ndarray = field(init=False, repr=False)
     total_mass: float = field(init=False, repr=False)
-    # ((key, p / r), ...), newest first, kept and keyed by `core.surprise_fit`:
-    # one tuple, replaced whole, as in PosteriorSample._latest_fit.
-    _surprise_tables: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self, sample: PosteriorSample | None) -> None:
         grid, values = tabulated_curve(self.grid, self.values, "density")
@@ -158,15 +152,8 @@ def check_fit(bandwidth: float | None, grid_size: int) -> None:
 
 def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> DensityEstimate:
-    """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths.
-
-    The sample keeps its latest fit: a repeat call with the same bandwidth
-    and grid_size returns that same estimate.
-    """
+    """Gaussian KDE on an equispaced grid spanning the draws plus 3 bandwidths."""
     check_fit(bandwidth, grid_size)
-    latest = sample._latest_fit
-    if latest is not None and latest[0] == (bandwidth, grid_size):
-        return latest[1]
     draws = sample.draws
     h, scaled_draws = (_silverman_sorted(draws) if bandwidth is None
                        else (float(bandwidth), np.sort(draws)))
@@ -212,10 +199,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         thread.join()
     if errors:
         raise errors[0]
-    values = kernel_sums / norm
-    est = DensityEstimate(grid=grid, values=values, bandwidth=h, sample=sample)
-    sample._freeze(_latest_fit=((bandwidth, grid_size), est))
-    return est
+    return DensityEstimate(grid=grid, values=kernel_sums / norm, bandwidth=h, sample=sample)
 
 
 def _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride) -> None:

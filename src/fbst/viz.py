@@ -41,6 +41,9 @@ class PlotSpec:
                 and self.height_px > _MARGIN_TOP + _MARGIN_BOTTOM):
             raise PlotError(f"plot dimensions {self.width_px} x {self.height_px} px "
                             "must exceed the 80 x 68 px margins")
+        for side, value in (("left", self.left_boundary), ("right", self.right_boundary)):
+            if value is not None and math.isnan(value):
+                raise PlotError(f"{side} boundary must be a number, got nan")
         if (self.left_boundary is not None and self.right_boundary is not None
                 and not self.left_boundary < self.right_boundary):
             raise PlotError(

@@ -63,10 +63,10 @@ def battery():
     for shape, seed, gen, nulls in shapes:
         sample = PosteriorSample(draws=gen(np.random.default_rng(seed)),
                                  label=shape)
+        fit = kde_fit(sample)
         for ref_name, ref in references:
             for null in nulls:
-                result, surprise = fbst_pipeline(
-                    kde_fit(sample), null, 3, 2, reference=ref)
+                result, surprise = fbst_pipeline(fit, null, 3, 2, reference=ref)
                 records.append({
                     "case": f"{shape}/{ref_name}/null={null:g}",
                     "shape": shape, "ref": ref_name, "null": null,

@@ -392,6 +392,19 @@ class TestExitCodes:
         assert main(["plot", *BASE, "--out", str(tmp_path / "p.svg"),
                      "--left-boundary", "50", "--right-boundary", "60"]) == 3
 
+    @pytest.mark.parametrize("bounds", [("nan", None), ("nan", "1"), ("-1", "nan")],
+                             ids=["left", "left-of-two", "right-of-two"])
+    def test_nan_plot_boundary_is_3_before_the_draws_are_read(self, capsys, tmp_path,
+                                                               bounds):
+        out = tmp_path / "p.svg"
+        given = [arg for side, value in zip(("left", "right"), bounds) if value
+                 for arg in (f"--{side}-boundary", value)]
+        assert main(["plot", "--draws", str(tmp_path / "none.csv"), *BASE[2:],
+                     "--out", str(out), *given]) == 3
+        side = "left" if bounds[0] == "nan" else "right"
+        assert capsys.readouterr().err == f"fbst: {side} boundary must be a number, got nan\n"
+        assert not out.exists()
+
     def test_plot_without_plot_area_is_3(self, capsys, tmp_path):
         out = tmp_path / "p.svg"
         assert main(["plot", *BASE, "--out", str(out),

@@ -25,6 +25,16 @@ def normal_sample(mu=1.0, sigma=1.0, n=100_000, seed=8, label="theta"):
     return PosteriorSample(draws=rng.normal(mu, sigma, n), label=label)
 
 
+def kept_fit(sample):
+    """The fit `fbst` keeps on a sample."""
+    return vars(sample)["_latest_fit"][1]
+
+
+def kept_tables(fit):
+    """The ((key, p / r), ...) tables `surprise_fit` keeps on a fit, newest first."""
+    return vars(fit)["_surprise_tables"]
+
+
 def hand_surprise(values, s_star):
     """A surprise function over a uniform posterior on the grid 0, 1, 2, ..."""
     grid = np.arange(float(len(values)))
@@ -108,11 +118,12 @@ class TestReferenceParse:
         # a test with the parsed reference reads the table the original left
         sample = normal_sample(n=5_000)
         fbst(sample, 0.3, 3, 2, reference=ref)
-        est = kde_fit(sample)
-        kept = est._surprise_tables
+        est = kept_fit(sample)
+        kept = kept_tables(est)
         assert fbst(sample, 0.7, 3, 2, reference=parsed) == \
             fbst(normal_sample(n=5_000), 0.7, 3, 2, reference=ref)
-        assert est._surprise_tables is kept and len(kept) == 1
+        assert kept_fit(sample) is est
+        assert kept_tables(est) is kept and len(kept) == 1
 
     def test_descriptor_details_survive(self):
         cauchy = ReferenceFunction.from_family(PARSED_FAMILIES["cauchy"]).descriptor
@@ -226,7 +237,8 @@ class TestSurpriseTables:
         rebuilt = name.endswith("_rebuilt")
         own = (lambda: _references()["cauchy"]) if rebuilt else (lambda: ref)
         sample = normal_sample(n=5_000)
-        est = kde_fit(sample)
+        fbst(sample, self.NULLS[0], 3, 2, reference=own(), estimator=estimator)
+        est = kept_fit(sample)
         for _ in range(2):  # the second pass reads the kept table
             for null in self.NULLS:
                 kept = fbst(sample, null, 3, 2, reference=own(), estimator=estimator)
@@ -236,16 +248,19 @@ class TestSurpriseTables:
                 s = surprise_fit(est, own(), null)
                 assert np.array_equal(s.values, est.values / ref.evaluate(est.grid))
         key = ref if name == "table" else ref.descriptor  # a table by identity
-        assert [held for held, _ in est._surprise_tables] == [key]
+        assert kept_fit(sample) is est
+        assert [held for held, _ in kept_tables(est)] == [key]
 
     def test_default_reference_shares_the_flat_table(self):
         sample = normal_sample(n=5_000)
         flat = ReferenceFunction.flat()
         fbst(sample, 0.3, 3, 2)
-        kept = kde_fit(sample)._surprise_tables
+        est = kept_fit(sample)
+        kept = kept_tables(est)
         assert fbst(sample, 0.7, 3, 2, reference=flat) == \
             fbst(sample, 0.7, 3, 2, reference=ReferenceFunction())
-        assert kde_fit(sample)._surprise_tables is kept
+        assert kept_fit(sample) is est
+        assert kept_tables(est) is kept
         assert [key for key, _ in kept] == [flat.descriptor]
 
     def test_flat_is_one_instance_and_descriptors_are_kept(self):
@@ -271,13 +286,14 @@ class TestSurpriseTables:
     def test_vanishing_reference_raises_each_call_and_stores_nothing(self):
         sample = normal_sample(n=5_000)
         fbst(sample, 0.5, 3, 2)
-        est = kde_fit(sample)
-        kept = est._surprise_tables
+        est = kept_fit(sample)
+        kept = kept_tables(est)
         ref = ReferenceFunction.from_family(DensityFamily.normal(0.0, 0.04))
         for estimator in ("grid", "monte_carlo", "grid"):
             with pytest.raises(ReferenceFunctionError, match="vanishes on the grid"):
                 fbst(sample, 0.5, 3, 2, reference=ref, estimator=estimator)
-            assert est._surprise_tables is kept
+            assert kept_fit(sample) is est
+            assert kept_tables(est) is kept
 
     def test_keeps_at_most_the_bound_newest_first(self):
         est = kde_fit(normal_sample(n=2_000))
@@ -285,11 +301,11 @@ class TestSurpriseTables:
                 for i in range(1_000)]
         for ref in refs:
             surprise_fit(est, ref, 0.5)
-        assert [key for key, _ in est._surprise_tables] == \
+        assert [key for key, _ in kept_tables(est)] == \
             [ref.descriptor for ref in refs[::-1][:core._KEPT_TABLES]]
         again = surprise_fit(est, refs[0], 0.5)  # dropped, so tabulated anew
         assert np.array_equal(again.values, est.values / refs[0].evaluate(est.grid))
-        assert len(est._surprise_tables) == core._KEPT_TABLES
+        assert len(kept_tables(est)) == core._KEPT_TABLES
 
     @pytest.mark.parametrize("kind", list(ROUNDTRIPS))
     def test_tested_sample_survives_a_round_trip(self, kind):
@@ -302,9 +318,9 @@ class TestSurpriseTables:
                   for null, name, estimator in calls]
         for roundtrip in self.ROUNDTRIPS[kind]:
             loaded = roundtrip(sample)
-            est = kde_fit(loaded)
-            assert est is loaded._latest_fit[1]
-            kept = est._surprise_tables
+            est = kept_fit(loaded)
+            assert est is not kept_fit(sample) and est.draws is loaded.draws
+            kept = kept_tables(est)
             held = {getattr(key, "descriptor", key): key for key, _ in kept}
             assert sorted(held) == sorted(refs[name].descriptor for name in names)
             own = {**refs, "table": held[refs["table"].descriptor], None: None}
@@ -314,10 +330,11 @@ class TestSurpriseTables:
             for name in ("flat", "cauchy", "student_t", None, "table"):
                 assert fbst(loaded, 0.7, 3, 2, reference=own[name]) == \
                     fbst(sample, 0.7, 3, 2, reference=refs.get(name))
-                assert est._surprise_tables is kept
+                assert kept_fit(loaded) is est
+                assert kept_tables(est) is kept
             # the caller's table is matched only as itself, so it tabulates anew
             fbst(loaded, 0.7, 3, 2, reference=refs["table"])
-            assert [key for key, _ in est._surprise_tables] == \
+            assert [key for key, _ in kept_tables(est)] == \
                 [refs["table"]] + [key for key, _ in kept][:core._KEPT_TABLES - 1]
             for refs_used in (own, refs):
                 assert [fbst(loaded, null, 3, 2, reference=refs_used[name],
@@ -361,7 +378,7 @@ class TestSurpriseTables:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
-        assert len(kde_fit(shared)._surprise_tables) <= core._KEPT_TABLES
+        assert len(kept_tables(kept_fit(shared))) <= core._KEPT_TABLES
 
     @pytest.mark.parametrize("fam", TINY_SCALE_FAMILIES, ids=lambda f: f.family)
     def test_tiny_scale_reference_names_the_cause(self, fam):
@@ -449,7 +466,7 @@ class TestTestsRunOnTheFit:
             sample = normal_sample(n=20_000)
             for estimator in core.ESTIMATORS:
                 fbst(sample, 0.3, 1, 0, estimator=estimator)
-            refs = weakref.ref(sample), weakref.ref(kde_fit(sample))
+            refs = weakref.ref(sample), weakref.ref(kept_fit(sample))
             del sample
             assert [ref() for ref in refs] == [None, None]
         finally:
@@ -793,7 +810,40 @@ class TestFbst:
         sample = normal_sample(n=10_000)
         with pytest.raises(DomainError, match="null value must be finite"):
             fbst(sample, null, 3, 2)
-        assert sample._latest_fit is None
+        assert "_latest_fit" not in vars(sample)
+
+    def test_fits_once_per_key(self, monkeypatch):
+        """The sample keeps one fit, keyed by (bandwidth, grid_size); a fit that
+        raises keeps nothing, so the next call fits again."""
+        calls = []
+        fit = core.kde_fit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(core, "kde_fit", counted)
+        refs = _references()
+        sample = normal_sample(n=5_000)
+        for null in TestSurpriseTables.NULLS:
+            for name in ("flat", "cauchy", "table"):
+                for estimator in core.ESTIMATORS:
+                    fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
+        assert len(calls) == 1
+        fbst(sample, 0.3, 3, 2, grid_size=256)
+        assert len(calls) == 2
+        fbst(sample, 0.3, 3, 2)
+        assert len(calls) == 3
+        with pytest.raises(DomainError, match="grid_size must be an integer, got 1024.0$"):
+            fbst(sample, 0.3, 3, 2, grid_size=1024.0)  # equal to the kept key, yet refused
+        assert len(calls) == 3
+        draws = np.append(np.random.default_rng(50).standard_normal(50_000), 1e4)
+        stray = PosteriorSample(draws=draws, label="stray")
+        for count in (4, 5):
+            with pytest.raises(DomainError, match="density integrates to"):
+                fbst(stray, 0.3, 3, 2)
+            assert len(calls) == count
+            assert "_latest_fit" not in vars(stray)
 
 
 class TestEvalueProperties:

@@ -302,6 +302,7 @@ class TestKdeFit:
     @pytest.mark.parametrize("grid_size", [density.MAX_GRID_SIZE + 1, 10 ** 11])
     def test_grid_size_cap_allocates_nothing(self, grid_size):
         sample = sample_of(np.arange(50.0))
+        before = dict(vars(sample))
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=f"between 128 and 1048576, got {grid_size}$"):
@@ -310,7 +311,7 @@ class TestKdeFit:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # one grid at the cap would take 8 MiB
-        assert sample._latest_fit is None
+        assert vars(sample) == before
 
     def test_bad_bandwidth(self):
         with warnings.catch_warnings():
@@ -350,25 +351,45 @@ class TestKdeFit:
         assert worst <= 1e-14
 
 
+def kept_fit(sample):
+    """The fit `fbst` keeps on a sample."""
+    return vars(sample)["_latest_fit"][1]
+
+
 class TestFitMemo:
+    """kde_fit fits on every call and keeps nothing; fbst keeps the sample's latest fit."""
+
     @pytest.fixture()
     def sample(self):
         rng = np.random.default_rng(29)
         return PosteriorSample(draws=rng.standard_normal(3_000), label="theta")
 
+    def test_kde_fit_keeps_nothing(self, sample):
+        before = dict(vars(sample))
+        first, second = kde_fit(sample), kde_fit(sample)
+        assert first is not second
+        assert first.grid.tobytes() == second.grid.tobytes()
+        assert first.values.tobytes() == second.values.tobytes()
+        assert vars(sample) == before
+
     def test_repeat_call_returns_same_fit(self, sample):
-        assert kde_fit(sample) is kde_fit(sample)
+        fbst(sample, 0.3, 3, 2)
+        est = kept_fit(sample)
+        fbst(sample, 0.7, 3, 2, estimator="monte_carlo")
+        assert kept_fit(sample) is est
 
     def test_slot_holds_only_latest_fit(self, sample):
-        first = kde_fit(sample)
+        fbst(sample, 0.3, 3, 2)
+        first = kept_fit(sample)
         for kwargs in ({"grid_size": 256}, {"bandwidth": 0.2}):
-            newer = kde_fit(sample, **kwargs)
+            fbst(sample, 0.3, 3, 2, **kwargs)
+            key, newer = vars(sample)["_latest_fit"]
             assert newer is not first
-            key, held = sample._latest_fit
-            assert held is newer
             assert key == (kwargs.get("bandwidth"), kwargs.get("grid_size", 1024))
-            assert kde_fit(sample, **kwargs) is newer
-        again = kde_fit(sample)
+            fbst(sample, 0.3, 3, 2, **kwargs)
+            assert kept_fit(sample) is newer
+        fbst(sample, 0.3, 3, 2)
+        again = kept_fit(sample)
         assert again is not first
         assert np.array_equal(again.values, first.values)
 
@@ -380,31 +401,44 @@ class TestFitMemo:
         assert est.bandwidth == fresh.bandwidth
 
     def test_kept_fit_is_the_one_kde_fit_returns(self, sample):
-        assert sample._latest_fit is None
-        est = kde_fit(sample, bandwidth=0.2, grid_size=256)
-        assert sample._latest_fit == ((0.2, 256), est)
+        assert "_latest_fit" not in vars(sample)
+        fbst(sample, 0.3, 3, 2, bandwidth=0.2, grid_size=256)
+        key, est = vars(sample)["_latest_fit"]
+        assert key == (0.2, 256)
+        fresh = kde_fit(sample, bandwidth=0.2, grid_size=256)
+        assert fresh is not est
+        assert est.grid.tobytes() == fresh.grid.tobytes()
+        assert est.values.tobytes() == fresh.values.tobytes()
         assert est.draws is sample.draws  # the sample's own array, and not the sample
         assert not est.draws.flags.writeable
-        assert kde_fit(sample, bandwidth=0.2, grid_size=256) is est
-        assert kde_fit(sample, bandwidth=0.2) is not est
+        fbst(sample, 0.7, 3, 2, bandwidth=0.2, grid_size=256)
+        assert kept_fit(sample) is est
+        fbst(sample, 0.7, 3, 2, bandwidth=0.2)
+        assert kept_fit(sample) is not est
 
     def test_failed_fit_stores_nothing(self):
         draws = np.append(np.random.default_rng(50).standard_normal(50_000), 1e4)
         sample = PosteriorSample(draws=draws, label="stray")
+        before = dict(vars(sample))
         for _ in range(2):
             with pytest.raises(DomainError, match="density integrates to"):
+                fbst(sample, 0.3, 3, 2)
+            assert "_latest_fit" not in vars(sample)
+            with pytest.raises(DomainError, match="density integrates to"):
                 kde_fit(sample)
-            assert sample._latest_fit is None
+            assert vars(sample) == before
 
     def test_repr_and_replace(self, sample):
-        est = kde_fit(sample)
+        fbst(sample, 0.3, 3, 2)
+        est = kept_fit(sample)
         assert repr(sample) == f"PosteriorSample(draws={sample.draws!r}, label='theta')"
         renamed = dataclasses.replace(sample, label="delta")
         assert renamed.label == "delta"
         assert np.array_equal(renamed.draws, sample.draws)
-        assert renamed._latest_fit is None
-        assert kde_fit(renamed) is not est
-        assert kde_fit(sample) is est
+        assert "_latest_fit" not in vars(renamed)
+        fbst(renamed, 0.3, 3, 2)
+        assert kept_fit(renamed) is not est
+        assert kept_fit(sample) is est
 
 
 def _stray_draws():
@@ -482,11 +516,12 @@ class TestSharedBlocks:
         monkeypatch.setattr(density, "_fill_blocks", failing)
         cores(3, shared_terms=0)
         sample = sample_of(np.random.default_rng(10).standard_normal(20_000))
+        before = dict(vars(sample))
         with pytest.raises(RuntimeError, match="block fill failed"):
             kde_fit(sample)
         assert len(failed_on) == 1
         assert (failed_on[0] is threading.current_thread()) == (share == 0)
-        assert sample._latest_fit is None
+        assert vars(sample) == before
         monkeypatch.setattr(density, "_fill_blocks", fill)
         assert np.array_equal(kde_fit(sample).values,
                               kde_fit(sample_of(sample.draws)).values)

@@ -149,6 +149,14 @@ class TestValidation:
         with pytest.raises(PlotError, match="must lie below"):
             PlotSpec(left_boundary=1.0, right_boundary=-1.0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_nan_boundary_is_named(self, side):
+        with pytest.raises(PlotError, match=f"^{side} boundary must be a number, got nan$"):
+            PlotSpec(**{f"{side}_boundary": math.nan})
+        with pytest.raises(PlotError, match=f"^{side} boundary must be a number"):
+            PlotSpec(**{f"{side}_boundary": math.nan,
+                        f"{'right' if side == 'left' else 'left'}_boundary": 0.0})
+
     def test_nonpositive_dimensions(self):
         # the plot area is what the margins (80 x 68 px) leave
         for size in ({"width_px": 0}, {"width_px": 50, "height_px": 40},
