@@ -11,6 +11,7 @@ many nulls and references on one sample fit and tabulate once.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -19,12 +20,17 @@ import numpy as np
 from .density import (DEFAULT_GRID_SIZE, DensityEstimate, Frozen, PosteriorSample,
                       check_fit, kde_eval, kde_fit, tabulated_curve)
 from .errors import DimensionError, DomainError, ReferenceFunctionError
-from .special_math import (MAX_DF, DensityFamily, chisq_cdf, chisq_quantile, chisq_sf,
+from .special_math import (MAX_DF, DensityFamily, chisq_quantile, chisq_sf, chisq_tails,
                            density_eval)
 
 ESTIMATORS = ("grid", "monte_carlo")
 _MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
 _KEPT_TABLES = 4  # surprise tables a fit keeps: flat and user references, with room
+# While their record lives: a sample's latest ((bandwidth, grid_size), fit) and a fit's
+# ((key, p / r), ...), newest first.  Each is replaced whole, so no thread pairs a key
+# with another value, and the read-only draws keep both from going stale.
+_latest_fits = weakref.WeakKeyDictionary()
+_surprise_tables = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,17 +196,18 @@ def surprise_fit(posterior: DensityEstimate, ref: ReferenceFunction,
     No null enters the table, so the fit keeps it for its latest references,
     matched by descriptor (it fixes r exactly), a table by identity."""
     check_null(null_value)
-    kept = vars(posterior).get("_surprise_tables", ())  # ((key, p / r), ...), newest first
+    kept = _surprise_tables.get(posterior, ())
     key = ref.descriptor if ref.grid is None else ref
     values = next((table for held, table in kept if held == key), None)
     if values is None:
         ref_values = np.asarray(ref.evaluate(posterior.grid), dtype=float)
-        if np.any(ref_values <= 0):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = posterior.values / ref_values  # not finite where r is 0 or tiny
+        if not np.all(np.isfinite(values)):
             where = float(posterior.grid[int(np.argmin(ref_values))])
             raise ReferenceFunctionError(
                 f"reference function vanishes on the grid near {where:g}")
-        values = posterior.values / ref_values
-        posterior._freeze(_surprise_tables=((key, values),) + kept[:_KEPT_TABLES - 1])
+        _surprise_tables[posterior] = ((key, values),) + kept[:_KEPT_TABLES - 1]
     s0_density = kde_eval(posterior, null_value)
     r0 = float(ref.evaluate(null_value))
     if r0 <= 0:
@@ -260,9 +267,9 @@ def pvalue_evalue(relative_null_ratio: float, k: int, h: int) -> float:
 
 
 def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float]:
-    """(sev_against, sev) with sev_against = F_{k-h}(F_k^{-1}(ev_against)),
-    which is ev_against itself, returned exactly, when h = 0.  Where 1 - ev_against
-    < 1e-4, sev is the upper tail Q_{k-h} itself, so it keeps its relative accuracy."""
+    """(sev_against, sev): the two tails F_{k-h} and Q_{k-h} at F_k^{-1}(ev_against),
+    which are ev_against and 1 - ev_against, exactly, when h = 0.  One call gives
+    both, so a small sev is the upper tail itself and keeps its relative accuracy."""
     _check_dims(k, h)
     if not 0.0 <= ev_against <= 1.0:
         raise DomainError(f"e-value must lie in [0, 1], got {ev_against}")
@@ -270,9 +277,7 @@ def standardized_evalue(ev_against: float, k: int, h: int) -> tuple[float, float
         return 1.0, 0.0
     if h == 0:
         return ev_against, 1.0 - ev_against
-    x = chisq_quantile(ev_against, k)  # inverts Q_k(x) = 1 - ev_against in that regime
-    sev_against = chisq_cdf(x, k - h)
-    return sev_against, chisq_sf(x, k - h) if 1.0 - ev_against < 1e-4 else 1.0 - sev_against
+    return chisq_tails(chisq_quantile(ev_against, k), k - h)
 
 
 def _check_dims(k: int, h: int) -> None:
@@ -338,11 +343,9 @@ def fbst(sample: PosteriorSample, null_value: float, dim_theta: int,
     """Full Bayesian Significance Test of H0: theta = null_value."""
     check_run(null_value, dim_theta, dim_null, estimator)  # before the fit
     check_fit(bandwidth, grid_size)  # before a kept fit is matched
-    # ((bandwidth, grid_size), fit): one tuple, replaced whole, so a reader never
-    # pairs a key with another fit; the read-only draws keep it from going stale
-    latest = vars(sample).get("_latest_fit")
+    latest = _latest_fits.get(sample)
     if latest is None or latest[0] != (bandwidth, grid_size):
         latest = ((bandwidth, grid_size), kde_fit(sample, bandwidth, grid_size))
-        sample._freeze(_latest_fit=latest)
+        _latest_fits[sample] = latest
     return fbst_pipeline(latest[1], null_value, dim_theta, dim_null, reference=reference,
                          estimator=estimator)[0]

@@ -25,16 +25,11 @@ _SHARED_TERMS = 4_000_000  # terms past which cores share the blocks: ~10 ms on 
 
 
 class Frozen:
-    """Base of the records: arrays in their fields, tuples included, stay read-only.
-    Core keeps a test's reusable results on a record under a private name, by `_freeze`."""
+    """Base of the records: the arrays in their fields stay read-only."""
 
     def _freeze(self, **fields) -> None:  # set each field whole, its arrays read-only
-        stack = list(fields.values())
-        while stack:
-            value = stack.pop()
-            if isinstance(value, tuple):
-                stack.extend(value)
-            elif isinstance(value, np.ndarray):
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
                 value.setflags(write=False)
         vars(self).update(fields)
 
@@ -58,8 +53,8 @@ class PosteriorSample(Frozen):
     """A labeled vector of scalar posterior draws for one parameter.
 
     The sample keeps a read-only copy of its draws; `core.fbst` keeps its
-    latest density fit on it, so repeated tests with the same bandwidth and
-    grid size fit once.  Samples compare and hash by identity.
+    latest density fit while it lives, so repeated tests with the same
+    bandwidth and grid size fit once.  Samples compare and hash by identity.
     """
 
     draws: np.ndarray
@@ -199,7 +194,8 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
         thread.join()
     if errors:
         raise errors[0]
-    return DensityEstimate(grid=grid, values=kernel_sums / norm, bandwidth=h, sample=sample)
+    with np.errstate(over="ignore"):  # a density past the floats fails its mass check
+        return DensityEstimate(grid, kernel_sums / norm, bandwidth=h, sample=sample)
 
 
 def _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, stride) -> None:

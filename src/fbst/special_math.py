@@ -78,9 +78,9 @@ def chisq_pdf(x: float, df: float) -> float:
     return math.exp((half - 1.0) * math.log(x) - x / 2.0
                     - math.lgamma(half) - half * math.log(2.0))
 
-def _chisq_tails(x: float, df: float) -> tuple[float, float]:
-    # (F, 1 - F) as (P, Q)(a, y) at a = df/2, y = x/2: the series gives P for
-    # y < a + 1, the continued fraction Q from there on, and the other tail is 1 minus it
+def chisq_tails(x: float, df: float) -> tuple[float, float]:
+    """(F_df(x), 1 - F_df(x)) as (P, Q)(a, y) at a = df/2, y = x/2: the series gives
+    P for y < a + 1, the continued fraction Q from there on, and the other is 1 minus it."""
     _check_df(df)
     a, y = df / 2.0, x / 2.0
     if not 0 <= x < math.inf:
@@ -93,12 +93,12 @@ def _chisq_tails(x: float, df: float) -> tuple[float, float]:
 
 def chisq_cdf(x: float, df: float) -> float:
     """Chi-square CDF F_df(x) = P(df/2, x/2)."""
-    return _chisq_tails(x, df)[0]
+    return chisq_tails(x, df)[0]
 
 def chisq_sf(x: float, df: float) -> float:
     """Chi-square upper tail 1 - F_df(x) = Q(df/2, x/2): from x = df + 2 on the
     continued fraction's own Q, so a tail far below 1e-16 keeps its relative accuracy."""
-    return _chisq_tails(x, df)[1]
+    return chisq_tails(x, df)[1]
 
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse of chisq_cdf in p, by bracketed third-order (Chebyshev) steps from

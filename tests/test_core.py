@@ -26,13 +26,13 @@ def normal_sample(mu=1.0, sigma=1.0, n=100_000, seed=8, label="theta"):
 
 
 def kept_fit(sample):
-    """The fit `fbst` keeps on a sample."""
-    return vars(sample)["_latest_fit"][1]
+    """The fit `fbst` keeps for a sample."""
+    return core._latest_fits[sample][1]
 
 
 def kept_tables(fit):
-    """The ((key, p / r), ...) tables `surprise_fit` keeps on a fit, newest first."""
-    return vars(fit)["_surprise_tables"]
+    """The ((key, p / r), ...) tables `surprise_fit` keeps for a fit, newest first."""
+    return core._surprise_tables[fit]
 
 
 def hand_surprise(values, s_star):
@@ -295,6 +295,20 @@ class TestSurpriseTables:
             assert kept_fit(sample) is est
             assert kept_tables(est) is kept
 
+    def test_reference_too_small_for_the_posterior_vanishes(self):
+        """A positive reference so small that p / r overflows the floats is refused
+        as vanishing, with no numpy warning on the way, and leaves no table."""
+        grid = np.linspace(-8.0, 10.0, 2001)
+        tiny = ReferenceFunction(grid=grid,
+                                 values=np.where(np.abs(grid - 1.0) < 0.5, 1e-320, 1.0))
+        est = kde_fit(normal_sample(n=5_000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReferenceFunctionError,
+                               match=r"^reference function vanishes on the grid near 0\.50"):
+                surprise_fit(est, tiny, 0.0)
+        assert est not in core._surprise_tables
+
     def test_keeps_at_most_the_bound_newest_first(self):
         est = kde_fit(normal_sample(n=2_000))
         refs = [ReferenceFunction.from_family(DensityFamily.normal(1.0, 2.0 + i / 1000))
@@ -308,7 +322,9 @@ class TestSurpriseTables:
         assert len(kept_tables(est)) == core._KEPT_TABLES
 
     @pytest.mark.parametrize("kind", list(ROUNDTRIPS))
-    def test_tested_sample_survives_a_round_trip(self, kind):
+    def test_tested_sample_survives_a_round_trip(self, kind, monkeypatch):
+        """A loaded or copied sample carries no kept fit or tables: it fits once
+        and tabulates each reference once, with every result bit-equal."""
         refs = _references()
         sample = normal_sample(n=5_000)
         names = ("cauchy", "table", "student_t", "flat")
@@ -316,30 +332,33 @@ class TestSurpriseTables:
                  for estimator in ("grid", "monte_carlo")]
         before = [fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
                   for null, name, estimator in calls]
+        est = kept_fit(sample)
+        fits, tabulated = [], []
+        fit, evaluate = core.kde_fit, ReferenceFunction.evaluate
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        def counted_evaluate(ref, theta):
+            if np.ndim(theta):  # the grid, tabulated; the null is a scalar
+                tabulated.append(ref)
+            return evaluate(ref, theta)
+
+        monkeypatch.setattr(core, "kde_fit", counted_fit)
+        monkeypatch.setattr(ReferenceFunction, "evaluate", counted_evaluate)
         for roundtrip in self.ROUNDTRIPS[kind]:
             loaded = roundtrip(sample)
-            est = kept_fit(loaded)
-            assert est is not kept_fit(sample) and est.draws is loaded.draws
-            kept = kept_tables(est)
-            held = {getattr(key, "descriptor", key): key for key, _ in kept}
-            assert sorted(held) == sorted(refs[name].descriptor for name in names)
-            own = {**refs, "table": held[refs["table"].descriptor], None: None}
-            assert own["table"] is not refs["table"]  # the loaded copy of the table
-            # the caller's flat and family references, the default one and the
-            # loaded table find the loaded tables, so they tabulate nothing
-            for name in ("flat", "cauchy", "student_t", None, "table"):
-                assert fbst(loaded, 0.7, 3, 2, reference=own[name]) == \
-                    fbst(sample, 0.7, 3, 2, reference=refs.get(name))
-                assert kept_fit(loaded) is est
-                assert kept_tables(est) is kept
-            # the caller's table is matched only as itself, so it tabulates anew
-            fbst(loaded, 0.7, 3, 2, reference=refs["table"])
-            assert [key for key, _ in kept_tables(est)] == \
-                [refs["table"]] + [key for key, _ in kept][:core._KEPT_TABLES - 1]
-            for refs_used in (own, refs):
-                assert [fbst(loaded, null, 3, 2, reference=refs_used[name],
-                             estimator=estimator)
-                        for null, name, estimator in calls] == before
+            assert loaded not in core._latest_fits
+            fits.clear()
+            tabulated.clear()
+            after = [fbst(loaded, null, 3, 2, reference=refs[name], estimator=estimator)
+                     for null, name, estimator in calls]
+            assert len(fits) == 1
+            assert sorted(map(id, tabulated)) == sorted(id(refs[name]) for name in names)
+            assert repr(after) == repr(before)  # bit for bit
+            assert kept_fit(loaded).draws is loaded.draws
+            assert kept_fit(sample) is est
             with pytest.raises(ValueError, match="read-only"):
                 loaded.draws[:] += 5.0
 
@@ -459,16 +478,22 @@ class TestTestsRunOnTheFit:
     own draws, not the sample, and a tabulated density has no draws to count."""
 
     def test_fit_keeps_no_reference_to_its_sample(self):
-        # a fit that held its sample would form a cycle with the sample's kept fit,
-        # which only the garbage collector frees: 2*10^5-draw samples then pile up
+        # a fit that held its sample would keep it alive from core's map of kept
+        # fits, of which it is a value: 2*10^5-draw samples would then pile up.
+        # Dropping the sample frees it, its fit and their entries in both maps at
+        # once, with no garbage collector
         gc.disable()
         try:
             sample = normal_sample(n=20_000)
             for estimator in core.ESTIMATORS:
                 fbst(sample, 0.3, 1, 0, estimator=estimator)
             refs = weakref.ref(sample), weakref.ref(kept_fit(sample))
+            maps = core._latest_fits, core._surprise_tables
+            assert [refs[0]() in maps[0], refs[1]() in maps[1]] == [True, True]
+            sizes = [len(kept) for kept in maps]
             del sample
             assert [ref() for ref in refs] == [None, None]
+            assert [len(kept) for kept in maps] == [size - 1 for size in sizes]
         finally:
             gc.enable()
 
@@ -725,9 +750,11 @@ class TestStandardizedEvalue:
 
     @pytest.mark.parametrize("ev,k,h", [(0.9999989665589362, 11, 5), (1.0 - 2.0 ** -40, 3, 2),
                                         (1.0 - 1e-5, 12, 1), (0.99995, 2, 1),
-                                        (1.0 - 3e-12, 7, 6)])
+                                        (1.0 - 3e-12, 7, 6), (0.99988, 12, 11),
+                                        (0.999, 12, 11), (0.9995, 8, 7), (0.99, 12, 11)])
     def test_small_sev_keeps_its_relative_accuracy(self, ev, k, h):
-        """Near ev = 1, sev is Q_{k-h}(Q_k^{-1}(1 - ev)), to 1e-12 of 50-digit mpmath."""
+        """Near ev = 1, sev is Q_{k-h}(Q_k^{-1}(1 - ev)), to 1e-12 of 50-digit mpmath,
+        also where 1 - ev is above 1e-4 and the quantile inverts the lower tail."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             def upper(df, x):
@@ -810,7 +837,7 @@ class TestFbst:
         sample = normal_sample(n=10_000)
         with pytest.raises(DomainError, match="null value must be finite"):
             fbst(sample, null, 3, 2)
-        assert "_latest_fit" not in vars(sample)
+        assert sample not in core._latest_fits
 
     def test_fits_once_per_key(self, monkeypatch):
         """The sample keeps one fit, keyed by (bandwidth, grid_size); a fit that
@@ -843,7 +870,7 @@ class TestFbst:
             with pytest.raises(DomainError, match="density integrates to"):
                 fbst(stray, 0.3, 3, 2)
             assert len(calls) == count
-            assert "_latest_fit" not in vars(stray)
+            assert stray not in core._latest_fits
 
 
 class TestEvalueProperties:
@@ -865,6 +892,19 @@ class TestEvalueProperties:
             rises = np.diff([kde_eval(fit, x) for x in nulls]) > 0
             assert np.all((np.diff(evs) >= 0) | rises)
             assert evs[0] == 0.0
+
+    @pytest.mark.parametrize("estimator", core.ESTIMATORS)
+    def test_pvalue_is_bit_equal_across_references(self, estimator):
+        """The p-value reads the fit at the null and at its mode, not r: the flat,
+        Cauchy, normal and table references give it bit for bit, as they move the
+        e-value."""
+        refs = _references()
+        sample = normal_sample(n=20_000, seed=3)
+        for null in (-0.4, 0.3, 1.0, 1.8, 2.9):
+            results = [fbst(sample, null, 3, 2, reference=refs[name], estimator=estimator)
+                       for name in ("flat", "cauchy", "normal", "table")]
+            assert len({result.p_value.hex() for result in results}) == 1, null
+            assert len({result.e_value_against for result in results}) > 1, null
 
     @pytest.mark.parametrize("a,b,bound", [(2.0, -1.0, 1e-12), (0.25, 3.0, 1e-12),
                                            (1e3, 1e3, 1e-12), (-1.5, 0.5, 1e-5)])
@@ -902,6 +942,8 @@ class TestExtremeScale:
                                            r"spread over 7\.375: subtract a constant"),
         "1e8-plus-1e-8": (1e8 + 1e-8 * NORMAL, 1e8, r"cannot resolve draws of magnitude "
                                                     r"1e\+08 spread over 7\.4\d*e-08"),
+        "1e-300-plus-1e-309": (1e-300 + 1e-309 * NORMAL, 1e-300,  # n * h overflows p
+                               r"density integrates to inf, outside \[0\.99, 1\.001\]"),
     }
 
     @pytest.mark.parametrize("estimator", core.ESTIMATORS)
@@ -933,6 +975,59 @@ class TestExtremeScale:
         assert 0.0 <= result.p_value <= 1.0 and 0.0 <= result.sev <= 1.0
         assert result.e_value_against == pytest.approx(math.erf(1.0 / math.sqrt(2.0)),
                                                        abs=0.02)
+
+
+class TestAnyFiniteDraws:
+    """A seeded fuzz over magnitudes 10^+-300, offsets up to 1e15 spreads, ties,
+    near-discrete, duplicated and stray values, and n from 30 to 5,000: each case
+    answers, with every field in [0, 1], or raises an FbstError that names one of
+    the known causes, and no case warns on the way."""
+
+    CAUSES = ("all draws are identical", "the grid cannot resolve draws",
+              "density peak", "density integrates to",
+              "kernel normalisation n * h * sqrt(2 pi) overflows",
+              "reference function vanishes")
+
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        n = int(10 ** rng.uniform(math.log10(30), math.log10(5_000)))
+        shape = [lambda: rng.standard_normal(n), lambda: rng.standard_t(2, n),
+                 lambda: rng.gamma(2.0, 1.0, n),
+                 lambda: rng.integers(0, rng.integers(1, 6), n) * 1.0,  # ties
+                 lambda: rng.integers(0, 4, n) + 10.0 ** rng.uniform(-14, -3)
+                 * rng.standard_normal(n),  # near-discrete
+                 lambda: np.repeat(rng.standard_normal(n // 10 + 1), 10)[:n],
+                 lambda: np.append(rng.standard_normal(n - 1), 10.0 ** rng.uniform(1, 6))]
+        x = shape[seed % len(shape)]()
+        x = x + rng.choice([0.0, 1.0]) * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 15)
+        exponent = rng.uniform(-300, 300) if rng.uniform() < 0.4 else rng.uniform(-20, 20)
+        draws = x * (10.0 ** exponent / (np.max(np.abs(x)) or 1.0))
+        spread = float(np.ptp(draws)) / 4.0
+        null = float(draws[rng.integers(n)] + rng.standard_normal() * spread)
+        sd = max(spread * 10.0 ** rng.uniform(-3, 1), 1e-300)
+        reference = (ReferenceFunction.from_family(DensityFamily.normal(null, sd))
+                     if rng.uniform() < 0.3 else None)
+        return draws, null, reference
+
+    def test_answers_or_names_the_cause(self):
+        answered = 0
+        for seed in range(300):
+            draws, null, reference = self.case(seed)
+            for estimator in core.ESTIMATORS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        result = fbst(PosteriorSample(draws=draws, label="theta"), null,
+                                      3, 2, reference=reference, estimator=estimator)
+                    except FbstError as err:
+                        assert any(cause in str(err) for cause in self.CAUSES), (seed, err)
+                        continue
+                fields = (result.e_value_against, result.e_value_in_favor, result.p_value,
+                          result.sev_against, result.sev, result.relative_null_ratio)
+                assert all(0.0 <= field <= 1.0 for field in fields), (seed, result)
+                answered += 1
+        assert answered >= 200  # 332 of 600 answer at these seeds
 
 
 class TestIntegerDimensions:

@@ -15,7 +15,7 @@ import pytest
 from fbst import DensityEstimate, DensityFamily, DomainError, DrawsError, \
     PosteriorSample, ReferenceFunction, SurpriseFunction, TTestData, \
     evalue_grid, fbst, kde_eval, kde_fit, silverman_bandwidth
-from fbst import density
+from fbst import core, density
 
 
 def sample_of(draws, label="x"):
@@ -109,7 +109,7 @@ ROUND_TRIPS = [*(lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, proto
 
 def _arrays_of(value, seen=None) -> list:
     """Every distinct ndarray reachable from value through record fields, tuples
-    and mappings: a sample's kept fit and the fit's kept tables included."""
+    and mappings."""
     seen = set() if seen is None else seen
     if id(value) in seen:
         return []
@@ -129,7 +129,7 @@ def test_owns_its_inputs(build, inputs, report):
     leave it unchanged, the caller's arrays stay writeable, the record's own
     are read-only, and records holding arrays compare and hash by identity.
     A record loaded by pickle or copied reports the same, and every array it
-    reaches, a kept fit's and its tables' too, is read-only."""
+    reaches is read-only."""
     given = inputs()
     record = build(*given)
     twin = build(*copy.deepcopy(given))
@@ -352,8 +352,8 @@ class TestKdeFit:
 
 
 def kept_fit(sample):
-    """The fit `fbst` keeps on a sample."""
-    return vars(sample)["_latest_fit"][1]
+    """The fit `fbst` keeps for a sample."""
+    return core._latest_fits[sample][1]
 
 
 class TestFitMemo:
@@ -370,7 +370,7 @@ class TestFitMemo:
         assert first is not second
         assert first.grid.tobytes() == second.grid.tobytes()
         assert first.values.tobytes() == second.values.tobytes()
-        assert vars(sample) == before
+        assert vars(sample) == before and sample not in core._latest_fits
 
     def test_repeat_call_returns_same_fit(self, sample):
         fbst(sample, 0.3, 3, 2)
@@ -383,7 +383,7 @@ class TestFitMemo:
         first = kept_fit(sample)
         for kwargs in ({"grid_size": 256}, {"bandwidth": 0.2}):
             fbst(sample, 0.3, 3, 2, **kwargs)
-            key, newer = vars(sample)["_latest_fit"]
+            key, newer = core._latest_fits[sample]
             assert newer is not first
             assert key == (kwargs.get("bandwidth"), kwargs.get("grid_size", 1024))
             fbst(sample, 0.3, 3, 2, **kwargs)
@@ -401,9 +401,9 @@ class TestFitMemo:
         assert est.bandwidth == fresh.bandwidth
 
     def test_kept_fit_is_the_one_kde_fit_returns(self, sample):
-        assert "_latest_fit" not in vars(sample)
+        assert sample not in core._latest_fits
         fbst(sample, 0.3, 3, 2, bandwidth=0.2, grid_size=256)
-        key, est = vars(sample)["_latest_fit"]
+        key, est = core._latest_fits[sample]
         assert key == (0.2, 256)
         fresh = kde_fit(sample, bandwidth=0.2, grid_size=256)
         assert fresh is not est
@@ -423,7 +423,7 @@ class TestFitMemo:
         for _ in range(2):
             with pytest.raises(DomainError, match="density integrates to"):
                 fbst(sample, 0.3, 3, 2)
-            assert "_latest_fit" not in vars(sample)
+            assert sample not in core._latest_fits
             with pytest.raises(DomainError, match="density integrates to"):
                 kde_fit(sample)
             assert vars(sample) == before
@@ -435,7 +435,7 @@ class TestFitMemo:
         renamed = dataclasses.replace(sample, label="delta")
         assert renamed.label == "delta"
         assert np.array_equal(renamed.draws, sample.draws)
-        assert "_latest_fit" not in vars(renamed)
+        assert renamed not in core._latest_fits
         fbst(renamed, 0.3, 3, 2)
         assert kept_fit(renamed) is not est
         assert kept_fit(sample) is est
