@@ -24,7 +24,6 @@ from .special_math import (MAX_DF, DensityFamily, chisq_quantile, chisq_sf, chis
                            density_eval)
 
 ESTIMATORS = ("grid", "monte_carlo")
-_MC_PIECE = 1 << 16  # draws per piece of the Monte Carlo count
 _KEPT_TABLES = 4  # surprise tables a fit keeps: flat and user references, with room
 # While their record lives: a sample's latest ((bandwidth, grid_size), fit) and a fit's
 # ((key, p / r), ...), newest first.  Each is replaced whole, so no thread pairs a key
@@ -244,15 +243,12 @@ def evalue_mc(s: SurpriseFunction) -> float:
         above = sure & (np.minimum(values[:-1], values[1:]) - margin > s_star)
         below = sure & (np.maximum(values[:-1], values[1:]) + margin < s_star)
     undecided = np.concatenate(([True], ~(above | below), [True]))
-    count = 0
-    for start in range(0, draws.size, _MC_PIECE):
-        piece = np.sort(draws[start:start + _MC_PIECE])
-        # draws below the grid, in each segment [g_j, g_j+1), then from the last node on
-        sizes = np.diff(np.searchsorted(piece, grid), prepend=0, append=piece.size)
-        count += int(sizes[1:-1][above].sum())
-        rest = piece[np.repeat(undecided, sizes)]
-        surprise = np.interp(rest, grid, values, left=0.0, right=0.0)
-        count += int(np.count_nonzero(surprise > s_star))
+    ordered = np.sort(draws)
+    # draws below the grid, in each segment [g_j, g_j+1), then from the last node on
+    sizes = np.diff(np.searchsorted(ordered, grid), prepend=0, append=ordered.size)
+    surprise = np.interp(ordered[np.repeat(undecided, sizes)], grid, values,
+                         left=0.0, right=0.0)
+    count = int(sizes[1:-1][above].sum()) + int(np.count_nonzero(surprise > s_star))
     return count / draws.size
 
 

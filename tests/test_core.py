@@ -530,13 +530,13 @@ def mc_full_sort(sample, s):
     return int(np.count_nonzero(surprise > s.s_star)) / sample.n
 
 
-def mc_by_piece(sample, s):
+def mc_by_piece(sample, s, piece=1 << 16):
     """The MC e-value as np.interp on each sorted piece of every draw: a frozen
     copy of evalue_mc before it counted decided segments from the level set."""
     draws, count = sample.draws, 0
-    for start in range(0, draws.size, core._MC_PIECE):
-        piece = np.sort(draws[start:start + core._MC_PIECE])
-        surprise = np.interp(piece, s.grid, s.values, left=0.0, right=0.0)
+    for start in range(0, draws.size, piece):
+        piece_draws = np.sort(draws[start:start + piece])
+        surprise = np.interp(piece_draws, s.grid, s.values, left=0.0, right=0.0)
         count += int(np.count_nonzero(surprise > s.s_star))
     return count / draws.size
 
@@ -577,11 +577,12 @@ class TestLevelSetMcCount:
                 tested += 1
         assert tested >= 14
 
+    # the reference's pieces of 1000 draws are below the 1024 grid nodes, where
+    # np.interp computes each slope per draw instead of once per call
     @pytest.mark.parametrize("piece", [1000, 1 << 16])
-    def test_crafted_surprise_tables(self, monkeypatch, piece):
+    def test_crafted_surprise_tables(self, piece):
         """Ends a few ulps from s*, a table flat at s*, finite values whose slopes
         overflow, infinite values, and draws on, next to and between the nodes."""
-        monkeypatch.setattr(core, "_MC_PIECE", piece)
         rng = np.random.default_rng(31)
         grid = np.linspace(-3.1, 4.7, 1024)  # steps that round, unlike 0, 1, 2, ...
         flat = np.full(grid.size, 1.0 / (grid[-1] - grid[0]))
@@ -605,11 +606,11 @@ class TestLevelSetMcCount:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     ev = evalue_mc(s)
-                assert ev == mc_by_piece(sample, s)
+                assert ev == mc_by_piece(sample, s, piece)
 
 
 class TestSortedMcCount:
-    """evalue_mc counts sorted draws by piece, bit-equal to the unsorted mean."""
+    """evalue_mc counts one sorted copy of the draws, bit-equal to the unsorted mean."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -648,6 +649,7 @@ class TestSortedMcCount:
         assert s.s_star == 0.0
         assert evalue_mc(s) == mc_unsorted(sample, s) == 1.0
 
+    # sizes around the 2^16-draw pieces that evalue_mc once sorted one by one
     @pytest.mark.parametrize("n", [1_000, 1 << 16, (1 << 16) + 77, 3 * (1 << 16) - 5])
     def test_sizes_around_the_piece(self, n):
         sample = normal_sample(mu=0.0, n=n, seed=n)
@@ -662,13 +664,12 @@ class TestSortedMcCount:
     # computes each slope per draw instead of once per call
     @pytest.mark.parametrize("piece", [1000, 1 << 16])
     @pytest.mark.parametrize("seed", [3, 17, 40, 58])
-    def test_pieces_sorted_alone_equal_one_full_sort(self, monkeypatch, piece, seed):
-        monkeypatch.setattr(core, "_MC_PIECE", piece)
+    def test_pieces_sorted_alone_equal_one_full_sort(self, piece, seed):
         sample = normal_sample(mu=0.2, sigma=1.3, n=70_001, seed=seed)
         est = kde_fit(sample)
         for null in (-1.1, 0.4, 2.0):
             s = surprise_fit(est, ReferenceFunction.flat(), null)
-            assert evalue_mc(s) == mc_full_sort(sample, s)
+            assert evalue_mc(s) == mc_full_sort(sample, s) == mc_by_piece(sample, s, piece)
 
 
 class TestPvalueEvalue:

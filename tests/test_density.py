@@ -616,6 +616,14 @@ class TestDensityEstimateValidation:
         with pytest.raises(DomainError):
             DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1)
 
+    def test_overflowing_mass_is_named_without_a_warning(self):
+        """Values within a factor 2 of the float maximum overflow the trapezoid sum."""
+        grid, values = np.array([0.0, 1e-308, 2e-308]), np.full(3, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^density integrates to inf, outside"):
+                DensityEstimate(grid=grid, values=values, bandwidth=1.0)
+
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
     def test_rejects_nonfinite_bandwidth(self, bandwidth):
         grid, values = self._args()
