@@ -61,16 +61,19 @@ class PosteriorSample(Frozen):
     label: str
 
     def __post_init__(self) -> None:
-        arr = np.array(self.draws, dtype=float).ravel()
+        self.__setstate__({"draws": np.array(self.draws, dtype=float), "label": self.label})
+
+    def __setstate__(self, state: dict) -> None:  # pickle's route, and a cache hit's: no copy
+        arr = np.asarray(state["draws"], dtype=float).ravel()
         if arr.size < MIN_SAMPLE_SIZE:
             raise DrawsError(
                 f"need at least {MIN_SAMPLE_SIZE} posterior draws, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise DrawsError(f"draw {bad} is not finite")
-        if not self.label:
+        if not state["label"]:
             raise DrawsError("sample label must be nonempty")
-        self._freeze(draws=arr)
+        self._freeze(draws=arr, label=state["label"])
 
     @property
     def n(self) -> int:
@@ -85,7 +88,7 @@ class DensityEstimate(Frozen):
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-    sample: InitVar[PosteriorSample | None] = None
+    sample: InitVar[PosteriorSample | None]
     draws: np.ndarray | None = field(init=False, repr=False)
     mode_location: float = field(init=False)
     mode_density: float = field(init=False)

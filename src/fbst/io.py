@@ -11,7 +11,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +231,8 @@ class DrawsCache:
                                              for _ in range(4)]
             if digest.tobytes() != self.digest:
                 return None
-            sample = PosteriorSample(draws=draws, label="".join(map(chr, label)))
+            sample = PosteriorSample.__new__(PosteriorSample)  # the loaded column, not copied
+            sample.__setstate__({"draws": draws, "label": "".join(map(chr, label))})
             grid, values = fit[1:].reshape(2, -1)
             fit = DensityEstimate(grid, values, float(fit[0]), sample=sample)
             kept = fit.grid.size == self.grid_size and self.bandwidth in (None, fit.bandwidth)
@@ -306,14 +307,6 @@ class ResultDocument(FbstResult):
                    sample_size=int(sample_size), bandwidth=float(bandwidth),
                    grid_size=int(grid_size),
                    timestamp=timestamp if timestamp is not None else timestamp_now())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResultDocument":
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in payload]
-        if missing:
-            raise DrawsError(f"result document is missing fields {missing}")
-        return cls(**{n: payload[n] for n in names})
 
 
 def timestamp_now() -> str:

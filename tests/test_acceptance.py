@@ -189,7 +189,7 @@ def test_07_brute_force_equivalence():
     for name, pdf, cauchy_params, null, lo, hi in cases:
         grid = np.linspace(lo, hi, 4096)
         values = pdf(grid)
-        posterior = DensityEstimate(grid=grid, values=values, bandwidth=1.0)
+        posterior = DensityEstimate(grid=grid, values=values, bandwidth=1.0, sample=None)
         if cauchy_params is None:
             ref, ref_pdf = ReferenceFunction.flat(), flat_pdf
         else:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -515,14 +516,26 @@ def _entries(cache_dir):
     return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
 
 
+def _with_arrays(entry, change):
+    """The entry's bytes with its digest, draws, label and fit replaced by
+    change(digest, draws, label, fit)."""
+    handle, out = io.BytesIO(entry), io.BytesIO()
+    for array in change(*[np.load(handle, allow_pickle=False) for _ in range(4)]):
+        np.save(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
 def _with_fit(entry, refit):
     """The entry's bytes with its stored fit, bandwidth first, replaced by
     refit(draws, fit): the same digest, draws and label."""
-    handle, out = io.BytesIO(entry), io.BytesIO()
-    digest, draws, label, fit = [np.load(handle, allow_pickle=False) for _ in range(4)]
-    for array in (digest, draws, label, refit(draws, fit)):
-        np.save(out, array, allow_pickle=False)
-    return out.getvalue()
+    return _with_arrays(entry, lambda digest, draws, label, fit:
+                        (digest, draws, label, refit(draws, fit)))
+
+
+def _with_draws(entry, redraw, relabel=lambda label: label):
+    """The entry's bytes with its stored draws and label changed: the same digest and fit."""
+    return _with_arrays(entry, lambda digest, draws, label, fit:
+                        (digest, redraw(draws), relabel(label), fit))
 
 
 def _nan_bandwidth(draws, fit):
@@ -663,10 +676,12 @@ class TestDrawsCache:
         capsys.readouterr()
 
     @pytest.mark.parametrize("damage", ["truncated_fit", "half", "empty", "garbage",
-                                        "nan_bandwidth", "grid_size", "bandwidth"])
+                                        "nan_bandwidth", "grid_size", "bandwidth",
+                                        "nan_draw", "few_draws", "empty_label"])
     def test_damaged_entry_is_recomputed_and_rewritten(self, capsys, no_floor, counts,
                                                        draws_cache_dir, damage):
-        # a stored fit of another grid size or bandwidth than the key's is a miss
+        # a stored fit of another grid size or bandwidth than the key's is a miss, and so
+        # are stored draws or a label that a sample refuses
         argv = ["test", *BASE, *(("--bandwidth", "0.3") if damage == "bandwidth" else ())]
         runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
         [entry] = _entries(draws_cache_dir)
@@ -675,12 +690,39 @@ class TestDrawsCache:
                            "empty": b"", "garbage": b"\x93NUMPY garbage" * 9,
                            "nan_bandwidth": _with_fit(good, _nan_bandwidth),
                            "grid_size": _with_fit(good, _other_grid_size),
-                           "bandwidth": _with_fit(good, _other_bandwidth)}[damage])
+                           "bandwidth": _with_fit(good, _other_bandwidth),
+                           "nan_draw": _with_draws(good, lambda d: np.append(d, np.nan)),
+                           "few_draws": _with_draws(good, lambda d: d[:29]),
+                           "empty_label": _with_draws(good, lambda d: d,
+                                                      lambda label: label[:0])}[damage])
         runs.append((main(argv), capsys.readouterr()))
         assert runs[0] == runs[1] == runs[2]
         assert runs[2][1].err == ""
         assert counts == {"loads": 3, "fits": 3}
         assert entry.read_bytes() == good
+
+    def test_hit_holds_the_draws_once(self, tmp_path):
+        # the loaded column is the sample's own read-only array, not copied again
+        n = 200_000
+        argv = _draws_file(tmp_path, "chain.csv", "theta\n" + "".join(
+            f"{x!r}\n" for x in np.random.default_rng(2).standard_normal(n).tolist()))
+        spec = fbst_io.DrawsFileSpec(argv[1])
+        for _ in range(2):  # marks, then fills
+            cache = fbst_io.DrawsCache(spec, None, 1024)
+            assert cache.load() is None
+            sample = fbst_io.load_draws(spec)
+            cache.store(sample, density.kde_fit(sample))
+        cache = fbst_io.DrawsCache(spec, None, 1024)
+        tracemalloc.start()
+        try:
+            hit, fit = cache.load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
+        assert np.array_equal(hit.draws, sample.draws) and hit.label == "theta"
+        assert not hit.draws.flags.writeable
+        assert fit.draws is hit.draws
 
     def test_fits_through_core_kde_fit_on_each_miss_only(self, capsys, monkeypatch,
                                                          no_floor):

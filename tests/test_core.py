@@ -39,7 +39,7 @@ def hand_surprise(values, s_star):
     """A surprise function over a uniform posterior on the grid 0, 1, 2, ..."""
     grid = np.arange(float(len(values)))
     flat = np.full(grid.size, 1.0 / (grid[-1] - grid[0]))
-    posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0)
+    posterior = DensityEstimate(grid=grid, values=flat, bandwidth=1.0, sample=None)
     return SurpriseFunction(posterior=posterior, values=np.asarray(values, dtype=float),
                             s_star=s_star, null_value=0.0,
                             s0_posterior_density=float(flat[0]))
@@ -500,7 +500,7 @@ class TestTestsRunOnTheFit:
     def test_tabulated_density_runs_the_grid_test_and_refuses_monte_carlo(self):
         grid = np.linspace(-8.0, 8.0, 2001)
         table = DensityEstimate(grid, np.exp(-0.5 * grid * grid) / math.sqrt(2.0 * math.pi),
-                                bandwidth=0.1)
+                                bandwidth=0.1, sample=None)
         assert table.draws is None
         result, surprise = fbst_pipeline(table, 1.0, 1, 0)
         assert result.e_value_against == pytest.approx(math.erf(1.0 / math.sqrt(2.0)),
@@ -1093,7 +1093,8 @@ def test_public_names_resolve():
     assert not hasattr(fbst.SurpriseFunction, "mode_surprise")
     assert not hasattr(fbst, "write_result")
     assert not hasattr(fbst.io, "write_result")
-    assert not hasattr(fbst.ResultDocument, "to_dict")
+    for gone in ("to_dict", "from_dict"):
+        assert not hasattr(fbst.ResultDocument, gone)
     for gone in ("load_reference_table", "SUMMARY_HEADER"):
         assert not hasattr(fbst.io, gone)
     assert not hasattr(fbst.ReferenceFunction, "from_table")

@@ -64,7 +64,7 @@ def _normal_table():
 
 def _surprise(values):
     """Surprise against the flat reference r = 2 at the null 1.0."""
-    posterior = DensityEstimate(*_normal_table(), bandwidth=0.1)
+    posterior = DensityEstimate(*_normal_table(), bandwidth=0.1, sample=None)
     s0 = kde_eval(posterior, 1.0)
     return SurpriseFunction(posterior=posterior, values=values, s_star=s0 / 2.0,
                             null_value=1.0, s0_posterior_density=s0)
@@ -78,7 +78,7 @@ RECORDS = [
                                                for e in ("grid", "monte_carlo")]),
                  id="PosteriorSample"),
     pytest.param(lambda grid, values: DensityEstimate(grid=grid, values=values,
-                                                      bandwidth=0.1),
+                                                      bandwidth=0.1, sample=None),
                  _normal_table,
                  lambda est: (est.grid.tolist(), est.values.tolist(),
                               est.segment_mass.tolist(), est.mode_location,
@@ -580,14 +580,14 @@ class TestDensityEstimateValidation:
 
     def test_valid_construction(self):
         grid, values = self._args()
-        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1)
+        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1, sample=None)
         peak = int(np.argmax(values))
         assert est.mode_density == values[peak]
         assert est.mode_location == grid[peak]
 
     def test_segment_mass_is_derived_and_read_only(self):
         grid, values = self._args()
-        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1)
+        est = DensityEstimate(grid=grid, values=values, bandwidth=0.1, sample=None)
         assert np.array_equal(est.segment_mass,
                               0.5 * (values[1:] + values[:-1]) * np.diff(grid))
         assert not est.segment_mass.flags.writeable
@@ -597,24 +597,24 @@ class TestDensityEstimateValidation:
         bad = grid.copy()
         bad[5] = bad[4]
         with pytest.raises(DomainError):
-            DensityEstimate(grid=bad, values=values, bandwidth=0.1)
+            DensityEstimate(grid=bad, values=values, bandwidth=0.1, sample=None)
 
     def test_rejects_mismatched_lengths(self):
         grid, values = self._args()
         with pytest.raises(DomainError, match="^density needs matching grid and values"):
-            DensityEstimate(grid=grid, values=values[1:], bandwidth=0.1)
+            DensityEstimate(grid=grid, values=values[1:], bandwidth=0.1, sample=None)
 
     def test_rejects_negative_values(self):
         grid, values = self._args()
         bad = values.copy()
         bad[0] = -1e-3
         with pytest.raises(DomainError):
-            DensityEstimate(grid=grid, values=bad, bandwidth=0.1)
+            DensityEstimate(grid=grid, values=bad, bandwidth=0.1, sample=None)
 
     def test_rejects_bad_normalization(self):
         grid, values = self._args()
         with pytest.raises(DomainError):
-            DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1)
+            DensityEstimate(grid=grid, values=values * 2.0, bandwidth=0.1, sample=None)
 
     def test_overflowing_mass_is_named_without_a_warning(self):
         """Values within a factor 2 of the float maximum overflow the trapezoid sum."""
@@ -622,10 +622,23 @@ class TestDensityEstimateValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^density integrates to inf, outside"):
-                DensityEstimate(grid=grid, values=values, bandwidth=1.0)
+                DensityEstimate(grid=grid, values=values, bandwidth=1.0, sample=None)
+
+    def test_copy_keeps_the_draws_or_is_refused_by_name(self):
+        sample = sample_of(np.random.default_rng(8).standard_normal(2_000))
+        fit = kde_fit(sample)
+        with pytest.raises(ValueError,
+                           match=r"^InitVar 'sample' must be specified with replace\(\)$"):
+            dataclasses.replace(fit)
+        copied = dataclasses.replace(fit, sample=sample)
+        assert copied.draws is sample.draws
+        assert np.array_equal(copied.values, fit.values)
+        assert (core.fbst_pipeline(copied, 0.3, 1, 0, estimator="monte_carlo")[0]
+                == core.fbst_pipeline(fit, 0.3, 1, 0, estimator="monte_carlo")[0])
 
     @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
     def test_rejects_nonfinite_bandwidth(self, bandwidth):
         grid, values = self._args()
         with pytest.raises(DomainError, match="bandwidth must be positive and finite"):
-            DensityEstimate(grid=grid, values=values, bandwidth=bandwidth)
+            DensityEstimate(grid=grid, values=values, bandwidth=bandwidth,
+                            sample=None)

@@ -589,14 +589,19 @@ class TestResultDocument:
         payload = asdict(_doc())
         del payload["sev"]
         del payload["timestamp"]
-        with pytest.raises(DrawsError, match="missing fields.*sev.*timestamp"):
-            ResultDocument.from_dict(payload)
+        with pytest.raises(TypeError, match="missing 2 required .*'sev' and 'timestamp'"):
+            ResultDocument(**payload)
 
     @pytest.mark.parametrize("dim_theta,dim_null", [(0, -1), (3, -1), (2, 2)])
     def test_from_dict_rejects_impossible_dimensions(self, dim_theta, dim_null):
         payload = {**asdict(_doc()), "dim_theta": dim_theta, "dim_null": dim_null}
         with pytest.raises(DimensionError):
-            ResultDocument.from_dict(payload)
+            ResultDocument(**payload)
+
+    def test_from_dict_rejects_unknown_fields(self):
+        payload = {**asdict(_doc()), "seed": 0}
+        with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
+            ResultDocument(**payload)
 
     def test_json_round_trip_many(self):
         rng = np.random.default_rng(7)
@@ -620,15 +625,13 @@ class TestResultDocument:
                 bandwidth=float(10.0 ** rng.uniform(-6, 1)),
                 grid_size=int(rng.integers(128, 8192)),
             )
-            assert ResultDocument.from_dict(json.loads(
-                format_result(doc, "json"))) == doc
+            assert ResultDocument(**json.loads(format_result(doc, "json"))) == doc
 
     def test_file_round_trip(self, tmp_path):
         doc = _doc()
         path = tmp_path / "result.json"
         write_text(str(path), format_result(doc, "json"))
-        restored = ResultDocument.from_dict(
-            json.loads(path.read_text(encoding="utf-8")))
+        restored = ResultDocument(**json.loads(path.read_text(encoding="utf-8")))
         assert restored == doc
 
 

@@ -136,7 +136,7 @@ class TestGeometry:
     def test_window_over_zero_density_without_cutoff_has_unit_height(self):
         grid = np.linspace(0.0, 10.0, 101)
         values = np.clip(1.0 - np.abs(grid - 7.5) / 2.5, 0.0, None) / 2.5  # mass on [5, 10]
-        posterior = DensityEstimate(grid=grid, values=values, bandwidth=0.5)
+        posterior = DensityEstimate(grid=grid, values=values, bandwidth=0.5, sample=None)
         surprise = surprise_fit(posterior, ReferenceFunction.flat(), 7.0)
         heights = [float(_root(render_fbst_plot(surprise, PlotSpec(
             right_boundary=4.0, show_cutoff_line=cutoff))).get("data-surprise-max"))
