@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -156,7 +155,7 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     draws = sample.draws
     h, scaled_draws = (_silverman_sorted(draws) if bandwidth is None
                        else (float(bandwidth), np.sort(draws)))
-    lo, hi = float(draws.min()) - 3.0 * h, float(draws.max()) + 3.0 * h
+    lo, hi = float(scaled_draws[0]) - 3.0 * h, float(scaled_draws[-1]) + 3.0 * h
     if not math.isfinite(hi - lo):
         raise DomainError(f"bandwidth {h:g} makes the grid span overflow")
     magnitude = max(-lo, hi)  # nodes closer than 64 ulps of it would round unevenly
@@ -180,24 +179,18 @@ def kde_fit(sample: PosteriorSample, bandwidth: float | None = None,
     per_node = h / (grid[1] - grid[0])
     nodes = int(min(max(1.0, per_node), _BLOCK_TERMS))
     kernel_sums = np.empty(grid.size)
-    workers = 1
-    if draws.size * (2.0 * _RADIUS * per_node + nodes) > _SHARED_TERMS:
+    blocks = (kernel_sums, scaled_grid, scaled_draws, nodes)
+    if draws.size * (2.0 * _RADIUS * per_node + nodes) <= _SHARED_TERMS:
+        _fill_blocks(*blocks, 0, 1)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # 5-8 ms: for shared fits only
         affinity = getattr(os, "sched_getaffinity", None)  # cores this process may use
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    errors = []
-    def fill(first: int) -> None:
-        try:
-            _fill_blocks(kernel_sums, scaled_grid, scaled_draws, nodes, first, workers)
-        except BaseException as err:  # raised below, once every thread is done
-            errors.append(err)
-    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    fill(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            shares = [pool.submit(_fill_blocks, *blocks, k, workers) for k in range(1, workers)]
+            _fill_blocks(*blocks, 0, workers)
+        for share in shares:  # a worker's error is raised once every thread is done
+            share.result()
     with np.errstate(over="ignore"):  # a density past the floats fails its mass check
         return DensityEstimate(grid, kernel_sums / norm, bandwidth=h, sample=sample)
 

@@ -84,9 +84,11 @@ def _load_plain(path: Path) -> tuple[list[float], str]:
     return draws, path.stem
 
 def _csv_rows(path: Path, delimiter: str = ","):
-    """Yield (first line, last line, cells) of each nonblank row, in physical lines."""
+    """Yield (first line, last line, cells) of each nonblank row, in physical lines;
+    a line that starts with # is a comment, read as a blank line."""
     with path.open(encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        lines = ("\n" if line.startswith("#") else line for line in handle)
+        reader = csv.reader(lines, delimiter=delimiter)
         last = 0  # where the row before ends
         try:
             for row in reader:
@@ -100,8 +102,12 @@ def _csv_rows(path: Path, delimiter: str = ","):
 
 def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
     """The column after `skiprows` physical lines in one vectorised pass, or
-    None where the streaming reader might differ: a cell that loadtxt rejects
-    and float() takes (1_000), a non-finite value, an unclosed quote."""
+    None where the streaming reader might differ: any # (that reader skips a line
+    that starts with one), a cell that loadtxt rejects and float() takes (1_000),
+    a non-finite value, an unclosed quote."""
+    with path.open("rb") as handle:  # a search for one byte costs little past the read
+        if any(b"#" in chunk for chunk in iter(lambda: handle.read(1 << 20), b"")):
+            return None
     try:
         with warnings.catch_warnings(record=True):
             values = np.loadtxt(path, delimiter=delimiter, usecols=index, ndmin=1,

@@ -195,6 +195,21 @@ class TestColumnArgument:
         assert json.loads(capsys.readouterr().out)["sample_size"] == 100
         assert _plot_label(tmp_path, [*argv, "--column", "2020"]) == "2020"
 
+    def test_cmdstan_comment_lines_are_skipped(self, capsys, monkeypatch, tmp_path):
+        # comment lines before the header, after adaptation and after the draws
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        header = "lp__,accept_stat__,delta"
+        rows = [f"{-i / 9:.6g},0.9,{0.4 + 0.001 * i:.6g}" for i in range(2000)]
+        stan = ["# model = normal_model", header, "# Adaptation terminated",
+                "# Step size = 0.893", "# 1.2, 0.7", *rows, "#  Elapsed Time: 0.01 seconds"]
+        outputs = []
+        for name, lines in (("stan.csv", stan), ("plain.csv", [header, *rows])):
+            argv = _draws_file(tmp_path, name, "\n".join(lines) + "\n")
+            assert main(["test", *argv, "--column", "delta", "--output-format", "json"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0]["sample_size"] == 2000
+        assert outputs[0] == outputs[1]
+
     def test_plot_is_written_by_io(self, monkeypatch, tmp_path):
         written = []
         monkeypatch.setattr(cli, "write_text", lambda *args: written.append(args))
@@ -857,6 +872,17 @@ class TestDrawsCache:
                               encoding="utf-8")
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []", proc.stderr
         assert len(_entries(draws_cache_dir)) == 1
+
+    def test_small_run_imports_no_thread_pool(self, tmp_path, draws_cache_dir):
+        # a 10^4-draw fit fills its blocks on the calling thread: the 5-8 ms import waits
+        argv = _draws_file(tmp_path, "theta.txt", "".join(
+            f"{x!r}\n" for x in np.random.default_rng(4).normal(0.3, 1.0, 10_000).tolist()))
+        script = ("import sys; from fbst import cli; "
+                  f"code = cli.main(['test', *{argv!r}]); "
+                  "print(code, 'concurrent.futures' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              encoding="utf-8")
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
     def test_large_file_is_kept_across_processes(self, tmp_path, draws_cache_dir):
         rng = np.random.default_rng(1)

@@ -526,6 +526,29 @@ class TestSharedBlocks:
         assert np.array_equal(kde_fit(sample).values,
                               kde_fit(sample_of(sample.draws)).values)
 
+    @pytest.mark.parametrize("failing_share", [None, 2], ids=["fills", "worker-raises"])
+    def test_no_thread_outlives_the_fit(self, cores, monkeypatch, failing_share):
+        fill = density._fill_blocks
+        started = []
+
+        def share(*args):
+            started.append(args[-2])
+            if args[-2] == failing_share:
+                raise RuntimeError("block fill failed")
+            fill(*args)
+
+        monkeypatch.setattr(density, "_fill_blocks", share)
+        cores(3, shared_terms=0)
+        sample = sample_of(np.random.default_rng(12).standard_normal(20_000))
+        before = threading.active_count()
+        if failing_share is None:
+            kde_fit(sample)
+        else:
+            with pytest.raises(RuntimeError, match="block fill failed"):
+                kde_fit(sample)
+        assert sorted(started) == [0, 1, 2]
+        assert threading.active_count() == before
+
 
 class TestIntegerArguments:
     @pytest.mark.parametrize("grid_size", [1000.7, 1024.0, "1024", None])

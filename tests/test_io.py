@@ -385,6 +385,12 @@ CSV_CASES = {
     "semicolon": (_csv_text(header="step;delta", sep=";"), "delta", ";", True),
     "header_only": ("step,delta\n\n", "delta", ",", True),
     "not_utf8": (_with_row(13, "13,\udcff0.5"), "delta", ",", False),
+    "comment_lines": ("# made by hand\n" + _csv_text().replace("\n1,", "\n# warm-up done\n1,")
+                      + "# 32 rows\n", "delta", ",", False),
+    "comment_of_numbers": (_with_row(5, "# 5,0.5"), "delta", ",", False),
+    "hash_in_cell": (_with_row(5, "5,#0.5"), "delta", ",", False),
+    "hash_after_value": (_with_row(5, "5,0.5#"), "delta", ",", False),
+    "indented_hash": (_with_row(5, " # 5,0.5"), "delta", ",", False),
 }
 
 
@@ -415,6 +421,63 @@ class TestCsvOnePassParse:
         took, outcome, streamed = _read_both_ways(monkeypatch, spec)
         assert took
         assert outcome == streamed
+
+
+def _cmdstan_csv(n=2000, seed=26):
+    """A CSV laid out as CmdStan writes it (a comment block, the header,
+    adaptation comments, the draws, timing comments) and its comment-free copy."""
+    rng = np.random.default_rng(seed)
+    header = ("lp__,accept_stat__,stepsize__,treedepth__,n_leapfrog__,divergent__,"
+              "energy__,delta,sigma")
+    rows = ["%.6g,%.6g,0.893,2,3,0,%.6g,%.6g,%.6g" % (
+        -0.5 * d * d, a, 0.5 * d * d + 1.0, d, s) for d, a, s in zip(
+        rng.normal(0.3, 1.1, n).tolist(), rng.uniform(0.5, 1.0, n).tolist(),
+        rng.lognormal(0.0, 0.2, n).tolist())]
+    config = ["# stan_version_major = 2", "# model = normal_model",
+              "# method = sample (Default)", "#   sample", "#     num_samples = 2000"]
+    adaptation = ["# Adaptation terminated", "# Step size = 0.893",
+                  "# Diagonal elements of inverse mass matrix:", "# 1.21, 0.04"]
+    timing = ["# ", "#  Elapsed Time: 0.012 seconds (Warm-up)",
+              "#                0.025 seconds (Sampling)", "# "]
+    lines = [*config, header, *adaptation, *rows, *timing]
+    return "\n".join(lines) + "\n", "\n".join([header, *rows]) + "\n"
+
+
+class TestCommentLines:
+    """In a CSV a physical line that starts with # is a comment: it reads as a
+    blank line, and it still counts in line numbers."""
+
+    @pytest.mark.parametrize("column", ["delta", "lp__", "8"])
+    def test_cmdstan_file_reads_as_its_comment_free_copy(self, tmp_path, column):
+        with_comments, plain = _cmdstan_csv()
+        samples = [load_draws(DrawsFileSpec(_write(tmp_path, name, text), column=column))
+                   for name, text in (("stan.csv", with_comments), ("plain.csv", plain))]
+        assert samples[0].n == 2000
+        assert samples[0].label == samples[1].label
+        assert samples[0].draws.tobytes() == samples[1].draws.tobytes()
+
+    @pytest.mark.parametrize("cell", ["#0.31", "0.31#", "0.31 # draw"])
+    def test_hash_inside_a_data_row_fails_with_its_line(self, tmp_path, cell):
+        with_comments, _ = _cmdstan_csv()
+        lines = with_comments.splitlines()
+        row = lines[20].split(",")  # 5 config comments, the header, 4 adaptation ones
+        lines[20] = ",".join([*row[:7], cell, row[8]])
+        path = _write(tmp_path, "stan.csv", "\n".join(lines) + "\n")
+        message = f"{path}:21: cannot parse {cell!r} as a number"
+        with pytest.raises(DrawsError, match=f"^{re.escape(message)}$"):
+            load_draws(DrawsFileSpec(path, column="delta"))
+
+    def test_reference_table_with_comment_lines(self, tmp_path):
+        path = _write(tmp_path, "ref.csv",
+                      "# N(0, 1) at three points\ntheta,density\n-1,0.24\n# mode\n"
+                      "0,0.4\n1,0.24\n2\n")
+        with pytest.raises(DrawsError, match=r"ref\.csv:7: expected two columns"):
+            load_reference(f"table:{path}")
+        Path(path).write_text("# N(0, 1) at three points\ntheta,density\n-1,0.24\n"
+                              "# mode\n0,0.4\n1,0.24\n", encoding="utf-8")
+        ref = load_reference(f"table:{path}")
+        assert ref.grid.tolist() == [-1.0, 0.0, 1.0]
+        assert ref.values.tolist() == [0.24, 0.4, 0.24]
 
 
 class TestLoadJson:
