@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
                         help="draws file format (default: from extension)")
     common.add_argument("--column", help="csv column name or zero-based index, "
                                           "or json array name")
-    common.add_argument("--delimiter", default=",", help="csv delimiter")
+    common.add_argument("--delimiter", default=",", help="delimiter of a csv or plain file")
     common.add_argument("--null", type=float, required=True,
                         help="sharp null hypothesis value")
     common.add_argument("--dim-theta", type=int, required=True,

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -70,19 +71,6 @@ def _parse_number(text: str, where: str) -> float:
     cell = text if len(text) <= 40 else text[:40] + "..."  # an open quote can hold a file
     raise DrawsError(f"{where}: " + problem.format(cell))
 
-def _load_plain(path: Path) -> tuple[list[float], str]:
-    draws = []
-    with path.open(encoding="utf-8-sig") as handle:
-        # Splitting each physical line (newlines already translated) yields
-        # the lines, and line numbers, of splitting the whole text at once.
-        lines = (line for physical in handle for line in physical.splitlines())
-        for lineno, line in enumerate(lines, 1):
-            text = line.strip()
-            if not text:
-                continue
-            draws.append(_parse_number(text, f"{path}:{lineno}"))
-    return draws, path.stem
-
 def _csv_rows(path: Path, delimiter: str = ","):
     """Yield (first line, last line, cells) of each nonblank row, in physical lines;
     a line that starts with # is a comment, read as a blank line."""
@@ -100,24 +88,27 @@ def _csv_rows(path: Path, delimiter: str = ","):
         except csv.Error as err:  # a quote open past the field limit, a NUL byte
             raise DrawsError(f"{path}:{last + 1}: {err}") from None
 
-def _loadtxt_column(path: Path, delimiter: str, index: int, skiprows: int):
-    """The column after `skiprows` physical lines in one vectorised pass, or
-    None where the streaming reader might differ: any # (that reader skips a line
-    that starts with one), a cell that loadtxt rejects and float() takes (1_000),
-    a non-finite value, an unclosed quote."""
+def _loadtxt_column(path: Path, delimiter: str, index: int | None, skiprows: int):
+    """The column after `skiprows` physical lines in one vectorised pass (a one-column
+    file's cells for index None), or None where the streaming reader might differ: a #
+    after those lines (that reader skips a line that starts with one), a cell that
+    loadtxt rejects and float() takes (1_000), a non-finite value, an unclosed quote."""
     with path.open("rb") as handle:  # a search for one byte costs little past the read
+        # each line end in the head, where a \r\n cut by its end counts once, before the \n
+        ends = [m.end() for m in re.finditer(rb"\r\n?|\n", handle.read(1 << 16))]
+        handle.seek(ends[skiprows - 1] if 0 < skiprows <= len(ends) else 0)
         if any(b"#" in chunk for chunk in iter(lambda: handle.read(1 << 20), b"")):
             return None
     try:
         with warnings.catch_warnings(record=True):
-            values = np.loadtxt(path, delimiter=delimiter, usecols=index, ndmin=1,
+            values = np.loadtxt(path, delimiter=delimiter, usecols=index, ndmin=2,
                                 skiprows=skiprows, comments=None, quotechar='"',
                                 encoding="utf-8-sig")
     except (TypeError, ValueError, UserWarning):
         return None
-    return values if np.isfinite(values).all() else None
+    return values[:, 0] if values.shape[1] == 1 and np.isfinite(values).all() else None
 
-def _load_csv(path: Path, column: str | int | None, delimiter: str) \
+def _load_csv(path: Path, column: str | int | None, delimiter: str, headed: bool) \
         -> tuple[list[float] | np.ndarray, str]:
     rows = _csv_rows(path, delimiter)
     start, end, first = next(rows, (0, 0, None))
@@ -126,24 +117,27 @@ def _load_csv(path: Path, column: str | int | None, delimiter: str) \
     # a header is all text or has text over a number; a name beats a digit index
     below = next(rows, None)
     text = [not _is_number(cell) for cell in first]
-    header = first if all(text) or below and any(
-        t and _is_number(b) for t, b in zip(text, below[2])) else None
+    header = first if headed and (all(text) or below and any(
+        t and _is_number(b) for t, b in zip(text, below[2]))) else None
+    whole = len(first) == 1 or not headed  # a one-column file: each row is one cell
     if isinstance(column, str) and header and column in header:
         index = header.index(column)
     elif isinstance(column, str) and not (column.isascii() and column.isdigit()):
         raise DrawsError(f"{path}: no column named {column!r} in header" if header
                          else f"{path}: named column needs a header row")
-    elif column is None and len(first) != 1:
+    elif column is None and not whole:
         raise DrawsError(f"{path}: {len(first)} columns; select one with a column name")
     elif not 0 <= (index := int(column or 0)) < len(first):
         raise DrawsError(f"{path}: column index {column} out of range")
     label, skip = (header[index], end) if header else (path.stem, start - 1)
-    values = _loadtxt_column(path, delimiter, index, skip)
+    values = _loadtxt_column(path, delimiter, None if whole else index, skip)
     if values is not None:
         return values, label
     ahead = ([] if header else [(start, end, first)]) + ([below] if below else [])
     draws = []
     for lineno, _, row in itertools.chain(ahead, rows):
+        if whole and len(row) > 1:
+            raise DrawsError(f"{path}:{lineno}: row has {len(row)} cells, not one")
         if index >= len(row):
             raise DrawsError(f"{path}:{lineno}: row has no column {index}")
         draws.append(_parse_number(row[index], f"{path}:{lineno}"))
@@ -156,6 +150,8 @@ def _load_json(path: Path, column: str | int | None) -> tuple[list[float], str]:
             payload = json.load(handle, parse_int=float)
         except json.JSONDecodeError as err:
             raise DrawsError(f"{path}:{err.lineno}: {err.msg}") from None
+        except UnicodeDecodeError as err:
+            raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
     if isinstance(payload, dict):
         if column is None:
             if len(payload) != 1:
@@ -182,20 +178,12 @@ def load_draws(spec: DrawsFileSpec) -> PosteriorSample:
     if not path.is_file():
         reason = "is a directory" if path.is_dir() else "file not found"
         raise DrawsError(f"{path}: {reason}")
-    try:
-        if spec.format == "plain":
-            draws, label = _load_plain(path)
-        elif spec.format == "csv":
-            draws, label = _load_csv(path, spec.column, spec.delimiter)
-        else:
-            draws, label = _load_json(path, spec.column)
-    except UnicodeDecodeError as err:
-        raise DrawsError(f"{path}: not valid UTF-8 ({err.reason})") from None
-    if len(draws) == 0:
-        raise DrawsError(f"{path}: no draws found")
+    # a plain file is a one-column CSV file without a header row
+    draws, label = _load_json(path, spec.column) if spec.format == "json" else \
+        _load_csv(path, spec.column, spec.delimiter, spec.format == "csv")
     try:
         return PosteriorSample(draws=draws, label=label)
-    except DrawsError as err:  # too few draws, or an empty header cell or key
+    except DrawsError as err:  # too few draws (or none), or an empty header cell or key
         raise DrawsError(f"{path}: {err}") from None
 
 

@@ -113,7 +113,7 @@ class TestLoadPlain:
 
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "d.txt", "")
-        with pytest.raises(DrawsError, match="no draws found"):
+        with pytest.raises(DrawsError, match="file is empty"):
             load_draws(DrawsFileSpec(path=path, format="plain"))
 
     def test_too_few_draws(self, tmp_path):
@@ -121,21 +121,36 @@ class TestLoadPlain:
         with pytest.raises(DrawsError, match="at least 30"):
             load_draws(DrawsFileSpec(path=path, format="plain"))
 
-    @pytest.mark.parametrize("join", [
-        "\r\n".join,
-        "\r".join,
-        lambda rows: rows[0] + "\f" + "\n".join(rows[1:]),
+    @pytest.mark.parametrize("join,bad_line,bad_cell", [
+        ("\r\n".join, 21, "oops"),
+        ("\r".join, 21, "oops"),
+        (lambda rows: rows[0] + "\f" + "\n".join(rows[1:]), 1, "0.5000\f0.5100"),
     ], ids=["crlf", "cr", "form_feed"])
-    def test_line_breaks_as_splitlines_counts_them(self, tmp_path, join):
+    def test_line_breaks_as_splitlines_counts_them(self, tmp_path, join, bad_line,
+                                                   bad_cell):
+        """\\r\\n, \\r and \\n end a line, as in a CSV file; a form feed does not,
+        so the draws on each side of it share one cell."""
         path = tmp_path / "d.txt"
         rows = _rows()
         path.write_bytes(join(rows).encode("utf-8"))
-        sample = load_draws(DrawsFileSpec(path=str(path), format="plain"))
-        assert sample.draws.tolist() == [float(row) for row in rows]
+        if bad_line > 1:
+            sample = load_draws(DrawsFileSpec(path=str(path), format="plain"))
+            assert sample.draws.tolist() == [float(row) for row in rows]
         rows[20] = "oops"
         path.write_bytes(join(rows).encode("utf-8"))
-        with pytest.raises(DrawsError, match=r"d\.txt:21: cannot parse 'oops'"):
+        message = f"{path}:{bad_line}: cannot parse {bad_cell!r} as a number"
+        with pytest.raises(DrawsError, match=f"^{re.escape(message)}$"):
             load_draws(DrawsFileSpec(path=str(path), format="plain"))
+
+    def test_savetxt_header_is_a_comment(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(7).normal(0.3, 1.0, 400)
+        path = tmp_path / "d.txt"
+        with path.open("w", encoding="utf-8") as handle:
+            np.savetxt(handle, values, header="theta")  # writes "# theta" first
+        took, outcome, streamed = _read_both_ways(
+            monkeypatch, DrawsFileSpec(path=str(path), format="plain"))
+        assert took
+        assert outcome == streamed == ("d", hashlib.sha256(values.tobytes()).hexdigest())
 
 
 class TestLoadCsv:
@@ -342,7 +357,9 @@ def _read_both_ways(monkeypatch, spec):
     monkeypatch.setattr(fbst.io, "_loadtxt_column", spy)
     outcome = _outcome(spec)
     monkeypatch.setattr(fbst.io, "_loadtxt_column", lambda *args, **kwargs: None)
-    return any(p is not None for p in parsed), outcome, _outcome(spec)
+    streamed = _outcome(spec)
+    monkeypatch.setattr(fbst.io, "_loadtxt_column", one_pass)
+    return any(p is not None for p in parsed), outcome, streamed
 
 
 # name: (file text, with \udcff for the byte 0xff; column; delimiter;
@@ -391,6 +408,17 @@ CSV_CASES = {
     "hash_in_cell": (_with_row(5, "5,#0.5"), "delta", ",", False),
     "hash_after_value": (_with_row(5, "5,0.5#"), "delta", ",", False),
     "indented_hash": (_with_row(5, " # 5,0.5"), "delta", ",", False),
+    "comment_preamble": ("# made by hand\n#\n# 1.21, 0.04\n" + _csv_text(),
+                         "delta", ",", True),
+    "comment_preamble_crlf": ("# made\r\n# by hand\r\n" + _csv_text(end="\r\n"),
+                              "delta", ",", True),
+    "comment_preamble_cr": ("# made\r# by hand\r" + _csv_text(end="\r"), "delta", ",", True),
+    "comment_preamble_headerless": ("# draws\n" + _csv_text(header=None, rows=[
+        f"{i / 7!r}" for i in range(32)]), None, ",", True),
+    "hash_in_header": (_csv_text(header="step,a#b"), "a#b", ",", True),
+    "comment_of_numbers_first": (_with_row(0, "# 0,0.5"), "delta", ",", False),
+    "comment_of_numbers_crlf": (_with_row(0, "# 0,0.5", end="\r\n"), "delta", ",", False),
+    "comment_of_numbers_cr": (_with_row(0, "# 0,0.5", end="\r"), "delta", ",", False),
 }
 
 
@@ -421,6 +449,98 @@ class TestCsvOnePassParse:
         took, outcome, streamed = _read_both_ways(monkeypatch, spec)
         assert took
         assert outcome == streamed
+
+
+class TestOneColumnFile:
+    """A file whose first row has one cell reads every row whole, so a wider row is
+    an error that names its line, on the one-pass and the streaming path alike."""
+
+    @pytest.mark.parametrize("name,format,header", [
+        ("d.txt", "plain", None), ("d.csv", "csv", "delta"), ("d.csv", "csv", None)],
+        ids=["plain", "csv_header", "csv_headerless"])
+    def test_later_wide_row_names_its_line(self, tmp_path, monkeypatch, name, format,
+                                           header):
+        rows = [f"{i / 3!r}" for i in range(40)]
+        rows[20] = "1,5"
+        path = _write(tmp_path, name, "\n".join([header] * bool(header) + rows) + "\n")
+        took, outcome, streamed = _read_both_ways(monkeypatch, DrawsFileSpec(path, format))
+        assert not took
+        assert outcome == streamed == f"{path}:{21 + bool(header)}: row has 2 cells, not one"
+
+    def test_every_row_wide_under_a_one_cell_header(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "d.csv", _csv_text(header="delta"))
+        took, outcome, streamed = _read_both_ways(monkeypatch, DrawsFileSpec(path))
+        assert not took
+        assert outcome == streamed == f"{path}:2: row has 2 cells, not one"
+
+    def test_plain_file_of_two_columns(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "d.txt", _csv_text(header=None))
+        _, outcome, streamed = _read_both_ways(monkeypatch, DrawsFileSpec(path))
+        assert outcome == streamed == f"{path}:1: row has 2 cells, not one"
+
+    def test_delimiter_applies_to_a_plain_file(self, tmp_path):
+        rows = [f"{i / 3!r}" for i in range(40)]
+        rows[5] = "1;5"
+        path = _write(tmp_path, "d.txt", "\n".join(rows))
+        for delimiter, problem in ((",", "cannot parse '1;5' as a number"),
+                                   (";", "row has 2 cells, not one")):
+            with pytest.raises(DrawsError, match=f"^{re.escape(f'{path}:6: {problem}')}$"):
+                load_draws(DrawsFileSpec(path, delimiter=delimiter))
+
+
+_READABLE_TRAPS = ("quoted", "underscore", "bom", "crlf", "cr", "blank", "comment")
+_TRAPS = _READABLE_TRAPS + ("wide", "nan", "inf", "text_first", "form_feed", "spaces")
+
+
+def _one_column_text(seed):
+    """The text of 40 draws, one a line, with the trap the seed names and up to two
+    readable ones drawn by it, and whether its first line is text."""
+    rng = np.random.default_rng(seed)
+    lines = [repr(float(x)) for x in rng.normal(0.3, 1.0, 40)]
+    traps = {_TRAPS[seed % len(_TRAPS)],
+             *rng.choice(_READABLE_TRAPS, size=int(rng.integers(0, 3)), replace=False)}
+    for trap in sorted(traps):
+        i = int(rng.integers(1, len(lines) - 1))  # a later line
+        if trap == "quoted":
+            lines[i] = f'"{lines[i]}"'
+        elif trap == "wide":
+            lines[i] += ",5"
+        elif trap in ("nan", "inf", "underscore"):
+            lines[i] = {"nan": "nan", "inf": "-inf", "underscore": "1_000"}[trap]
+        elif trap in ("blank", "comment", "spaces"):
+            lines.insert(i, {"blank": "", "comment": "# 1.21, 0.04", "spaces": "   "}[trap])
+        elif trap == "form_feed":
+            lines[i:i + 2] = [lines[i] + "\f" + lines[i + 1]]
+    if "text_first" in traps:
+        lines.insert(0, "theta")
+    end = "\r\n" if "crlf" in traps else "\r" if "cr" in traps else "\n"
+    return ("\ufeff" if "bom" in traps else "") + end.join(lines) + end, "text_first" in traps
+
+
+def _read_one_column(tmp_path, monkeypatch, name, text):
+    """The outcome of loading `text` as the file `name`, with the message's file name
+    cut off, after checking that both read paths agree."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    _, outcome, streamed = _read_both_ways(monkeypatch, DrawsFileSpec(str(path)))
+    assert outcome == streamed
+    return outcome.replace(str(path), "", 1) if isinstance(outcome, str) else outcome
+
+
+@pytest.mark.parametrize("seed", range(4 * len(_TRAPS)))
+def test_plain_file_reads_as_a_headerless_csv_file(tmp_path, monkeypatch, seed):
+    """A plain file and a one-column CSV file of the same text give the same draws,
+    bit for bit, or the same message after the file name; a text first line is the
+    CSV file's header and the plain file's error."""
+    text, text_first = _one_column_text(seed)
+    plain = _read_one_column(tmp_path, monkeypatch, "d.txt", text)
+    as_csv = _read_one_column(tmp_path, monkeypatch, "d.csv", text)
+    if text_first:
+        assert plain == ":1: cannot parse 'theta' as a number"
+        plain = _read_one_column(tmp_path, monkeypatch, "d.txt",
+                                 text.replace("theta", "# theta", 1))
+        plain = plain if isinstance(plain, str) else ("theta", plain[1])
+    assert as_csv == plain
 
 
 def _cmdstan_csv(n=2000, seed=26):
@@ -466,6 +586,35 @@ class TestCommentLines:
         message = f"{path}:21: cannot parse {cell!r} as a number"
         with pytest.raises(DrawsError, match=f"^{re.escape(message)}$"):
             load_draws(DrawsFileSpec(path, column="delta"))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_comments_before_the_data_keep_the_one_pass_read(self, tmp_path, monkeypatch,
+                                                             end):
+        with_comments, plain = _cmdstan_csv()
+        config = with_comments.splitlines()[:5]  # the comment block before the header
+        header, *rows = plain.splitlines()
+        spec = DrawsFileSpec(str(tmp_path / "stan.csv"), column="delta")
+        for text, one_pass in ((end.join([*config, header, *rows]), True),
+                               (with_comments.replace("\n", end), False)):
+            Path(spec.path).write_bytes((text + end).encode("utf-8"))
+            took, outcome, streamed = _read_both_ways(monkeypatch, spec)
+            assert took == one_pass
+            assert outcome == streamed
+
+    @pytest.mark.parametrize("shift", range(-2, 3))
+    def test_header_line_end_at_the_searched_head(self, tmp_path, monkeypatch, shift):
+        """The search for # starts past the header only where the first 64 KiB show
+        its line end, never past a line that the one-pass read takes."""
+        header = "step,delta\r\n"  # its \r at byte 2**16 - 1 + shift
+        preamble = "#" + "x" * ((1 << 16) - 1 + shift - 3 - 10) + "\r\n"
+        rows = _csv_text(header=None, end="\r\n")
+        spec = DrawsFileSpec(str(tmp_path / "d.csv"), column="delta")
+        for first, one_pass in (("", shift <= 0), ("# 0,0.5\r\n", False)):
+            Path(spec.path).write_bytes((preamble + header + first + rows).encode("utf-8"))
+            took, outcome, streamed = _read_both_ways(monkeypatch, spec)
+            assert took == one_pass
+            assert outcome == streamed
+            assert outcome[0] == "delta"
 
     def test_reference_table_with_comment_lines(self, tmp_path):
         path = _write(tmp_path, "ref.csv",
